@@ -3,7 +3,6 @@
 
 mod autocorr;
 mod batch;
-mod bootstrap;
 mod ci;
 mod histogram;
 mod mser;
@@ -13,7 +12,6 @@ mod welford;
 
 pub use autocorr::{autocorrelation, effective_sample_size, suggest_batch_size};
 pub use batch::BatchMeans;
-pub use bootstrap::bootstrap_mean_ci;
 pub use ci::{normal_quantile, t_critical, ConfidenceInterval, StoppingRule};
 pub use histogram::Histogram;
 pub use mser::{mser, mser5, MserResult};

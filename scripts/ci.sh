@@ -10,6 +10,12 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
+echo "==> codec gate: vendored serde_json unit tests"
+# vendor/ is outside the workspace members, so `cargo test` above skips
+# the codec's own tests: linear-time string parsing, the nesting limit
+# and surrogate-pair validation.
+cargo test -q -p serde_json
+
 echo "==> determinism lint gate: dgsched-analyze"
 # Walks crates/**/*.rs and fails on any unannotated result-path
 # determinism violation (unordered iteration, wall-clock reads, NaN-lossy
@@ -89,6 +95,13 @@ echo "==> telemetry gate: obs crate with and without the timing feature"
 cargo test -q -p dgsched-obs
 cargo test -q -p dgsched-obs --features timing
 cargo test -q -p dgsched-core --features timing --test observer_passivity
+
+echo "==> benchmark self-check: perfbench at tiny size"
+# perfbench is a workspace of its own that links the dgsched crates by
+# path, so `cargo test` above never builds it. Its self-check runs every
+# workload at tiny size through the correctness gates, which also catches
+# a change to any public API the benchmark calls.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> tracing/journal-overhead smoke: bench_sim_json"
 # Writes plain / metrics / metrics+ring wall-clock and journal-off vs

@@ -3,7 +3,7 @@
 
 use dgsched_core::policy::PolicyKind;
 use dgsched_core::sim::{simulate, SimConfig};
-use dgsched_des::queue::{BTreeQueue, BinaryHeapQueue, CalendarQueue, PendingEvents};
+use dgsched_des::queue::{BTreeQueue, BinaryHeapQueue, PendingEvents};
 use dgsched_des::stats::Welford;
 use dgsched_des::time::SimTime;
 use dgsched_grid::{Availability, CheckpointConfig, GridConfig, Heterogeneity};
@@ -26,16 +26,14 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Replays ops against both queues and a naive sorted-vec reference,
-/// asserting identical observable behaviour.
+/// Replays ops against the heap, the BTree reference and a naive
+/// sorted-vec reference, asserting identical observable behaviour.
 fn check_queues(ops: Vec<Op>) {
     let mut heap = BinaryHeapQueue::new();
-    let mut cal = CalendarQueue::new();
     let mut btree = BTreeQueue::new();
     // Reference holds live entries only: (time, seq, payload).
     let mut reference: Vec<(f64, u64, u64)> = Vec::new();
     let mut heap_ids = Vec::new();
-    let mut cal_ids = Vec::new();
     let mut btree_ids = Vec::new();
     let mut seq = 0u64;
 
@@ -43,7 +41,6 @@ fn check_queues(ops: Vec<Op>) {
         match op {
             Op::Schedule(t) => {
                 heap_ids.push(heap.schedule(SimTime::new(t), seq));
-                cal_ids.push(cal.schedule(SimTime::new(t), seq));
                 btree_ids.push(btree.schedule(SimTime::new(t), seq));
                 reference.push((t, seq, seq));
                 seq += 1;
@@ -56,23 +53,18 @@ fn check_queues(ops: Vec<Op>) {
                     .min_by(|(_, a), (_, b)| (a.0, a.1).partial_cmp(&(b.0, b.1)).expect("no NaN"))
                     .map(|(i, e)| (i, e.0, e.2));
                 let h = heap.pop();
-                let c = cal.pop();
                 let bt = btree.pop();
                 match expected {
                     None => {
                         assert!(h.is_none(), "heap popped from empty");
-                        assert!(c.is_none(), "calendar popped from empty");
                         assert!(bt.is_none(), "btree popped from empty");
                     }
                     Some((i, t, payload)) => {
                         let (ht, _, hp) = h.expect("heap must pop");
-                        let (ct, _, cp) = c.expect("calendar must pop");
                         let (bt_t, _, bp) = bt.expect("btree must pop");
                         assert_eq!(ht.as_secs(), t);
-                        assert_eq!(ct.as_secs(), t);
                         assert_eq!(bt_t.as_secs(), t);
                         assert_eq!(hp, payload);
-                        assert_eq!(cp, payload);
                         assert_eq!(bp, payload);
                         reference.remove(i);
                     }
@@ -82,11 +74,8 @@ fn check_queues(ops: Vec<Op>) {
                 if reference.is_empty() {
                     // Exercise the dead-handle path instead: cancelling a
                     // consumed or already-cancelled id must return false.
-                    if let (Some(&hid), Some(&cid), Some(&bid)) =
-                        (heap_ids.first(), cal_ids.first(), btree_ids.first())
-                    {
+                    if let (Some(&hid), Some(&bid)) = (heap_ids.first(), btree_ids.first()) {
                         assert!(!heap.cancel(hid), "heap cancel of dead id");
-                        assert!(!cal.cancel(cid), "calendar cancel of dead id");
                         assert!(!btree.cancel(bid), "btree cancel of dead id");
                     }
                     continue;
@@ -94,20 +83,16 @@ fn check_queues(ops: Vec<Op>) {
                 let idx = n % reference.len();
                 let target_seq = reference[idx].1;
                 let hid = heap_ids[target_seq as usize];
-                let cid = cal_ids[target_seq as usize];
                 let bid = btree_ids[target_seq as usize];
                 assert!(heap.cancel(hid), "heap cancel of live id");
-                assert!(cal.cancel(cid), "calendar cancel of live id");
                 assert!(btree.cancel(bid), "btree cancel of live id");
                 // Double cancel must be a no-op.
                 assert!(!heap.cancel(hid));
-                assert!(!cal.cancel(cid));
                 assert!(!btree.cancel(bid));
                 reference.remove(idx);
             }
         }
         assert_eq!(heap.len(), reference.len(), "heap live count");
-        assert_eq!(cal.len(), reference.len(), "calendar live count");
         assert_eq!(btree.len(), reference.len(), "btree live count");
     }
 }
