@@ -17,8 +17,9 @@
 //! bind error), `2` usage error (unknown flag, missing value).
 
 use dgsched_core::experiment::{
-    run_matrix_regret, run_matrix_regret_journaled, run_replication_instrumented, run_scenario,
-    run_scenario_journaled, OracleConfig, RepGuard, Scenario, WorkloadKind,
+    run_matrix_journaled, run_matrix_regret, run_matrix_regret_journaled,
+    run_replication_instrumented, run_scenario, JournalStats, OracleConfig, RepGuard, Scenario,
+    ScenarioResult, WorkloadKind,
 };
 use dgsched_core::policy::PolicyKind;
 use dgsched_core::serve::{self_check, ServeConfig, Server};
@@ -96,63 +97,97 @@ fn load_scenario(path: &str) -> Scenario {
     scenario
 }
 
-fn cmd_run(mut args: Args) {
-    let path = args
-        .next()
-        .unwrap_or_else(|| fail("run needs a scenario file"));
-    let mut seed = 2008u64;
-    let mut rule = StoppingRule::default();
-    let mut journal: Option<String> = None;
-    let mut resume = false;
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--seed" => seed = parse_u64(&mut args, "--seed"),
-            "--min-reps" => rule.min_replications = parse_u64(&mut args, "--min-reps"),
-            "--max-reps" => rule.max_replications = parse_u64(&mut args, "--max-reps"),
-            "--journal" => journal = Some(flag_value(&mut args, "--journal")),
-            "--resume" => resume = true,
-            _ => fail(&format!("unknown flag {flag:?} for 'run'")),
+/// The flags `run` and `oracle` share: the base sweep's seed and stopping
+/// rule, and the optional crash-safe journal.
+struct SweepArgs {
+    path: String,
+    seed: u64,
+    rule: StoppingRule,
+    journal: Option<String>,
+    resume: bool,
+}
+
+impl SweepArgs {
+    /// Parses `<scenario.json>` and the shared flags of subcommand `cmd`.
+    /// `extra` consumes the subcommand's own flags and returns `false`
+    /// for a flag it does not know.
+    fn parse(cmd: &str, mut args: Args, mut extra: impl FnMut(&str, &mut Args) -> bool) -> Self {
+        let path = args
+            .next()
+            .unwrap_or_else(|| fail(&format!("{cmd} needs a scenario file")));
+        let mut parsed = SweepArgs {
+            path,
+            seed: 2008,
+            rule: StoppingRule::default(),
+            journal: None,
+            resume: false,
+        };
+        while let Some(flag) = args.next() {
+            match flag.as_str() {
+                "--seed" => parsed.seed = parse_u64(&mut args, "--seed"),
+                "--min-reps" => parsed.rule.min_replications = parse_u64(&mut args, "--min-reps"),
+                "--max-reps" => parsed.rule.max_replications = parse_u64(&mut args, "--max-reps"),
+                "--journal" => parsed.journal = Some(flag_value(&mut args, "--journal")),
+                "--resume" => parsed.resume = true,
+                other if extra(other, &mut args) => {}
+                _ => fail(&format!("unknown flag {flag:?} for '{cmd}'")),
+            }
         }
+        if parsed.resume && parsed.journal.is_none() {
+            fail("--resume requires --journal")
+        }
+        parsed
     }
-    if resume && journal.is_none() {
-        fail("--resume requires --journal")
+
+    /// Runs the one-scenario matrix through `journaled` when `--journal`
+    /// was given (reporting what the journal did on stderr), otherwise
+    /// through `plain`, and prints the result JSON on stdout.
+    fn run(
+        &self,
+        journaled: impl FnOnce(&Path, bool) -> std::io::Result<(Vec<ScenarioResult>, JournalStats)>,
+        plain: impl FnOnce() -> Vec<ScenarioResult>,
+    ) -> ScenarioResult {
+        let results = match &self.journal {
+            None => plain(),
+            Some(jpath) => {
+                let (results, stats) = journaled(Path::new(jpath), self.resume)
+                    .unwrap_or_else(|e| die(&format!("journal {jpath}: {e}")));
+                let note = |count: u64, text: &'static str| if count > 0 { text } else { "" };
+                eprintln!(
+                    "journal {jpath}: {} written, {} replayed{}{}{}",
+                    stats.records_written,
+                    stats.records_replayed,
+                    note(stats.resumes, " (resumed)"),
+                    note(stats.torn_tails, ", torn tail truncated"),
+                    note(stats.replication_panics, ", replication panics isolated"),
+                );
+                results
+            }
+        };
+        let result = results
+            .into_iter()
+            .next()
+            .expect("one scenario, one result");
+        println!(
+            "{}",
+            serde_json::to_string_pretty(&result).expect("result serialises")
+        );
+        result
     }
-    let scenario = load_scenario(&path);
+}
+
+fn cmd_run(args: Args) {
+    let sweep = SweepArgs::parse("run", args, |_, _| false);
+    let scenario = load_scenario(&sweep.path);
+    let (seed, rule) = (sweep.seed, &sweep.rule);
     eprintln!("running '{}' (seed {seed})...", scenario.name);
-    let result = match &journal {
-        Some(jpath) => {
-            let (result, stats) = run_scenario_journaled(
-                &scenario,
-                seed,
-                &rule,
-                Path::new(jpath),
-                resume,
-                RepGuard::default(),
-            )
-            .unwrap_or_else(|e| die(&format!("journal {jpath}: {e}")));
-            eprintln!(
-                "journal {jpath}: {} written, {} replayed{}{}{}",
-                stats.records_written,
-                stats.records_replayed,
-                if stats.resumes > 0 { " (resumed)" } else { "" },
-                if stats.torn_tails > 0 {
-                    ", torn tail truncated"
-                } else {
-                    ""
-                },
-                if stats.replication_panics > 0 {
-                    ", replication panics isolated"
-                } else {
-                    ""
-                },
-            );
-            result
-        }
-        None => run_scenario(&scenario, seed, &rule),
-    };
-    println!(
-        "{}",
-        serde_json::to_string_pretty(&result).expect("result serialises")
+    let scenarios = std::slice::from_ref(&scenario);
+    let result = sweep.run(
+        |path, resume| {
+            run_matrix_journaled(scenarios, seed, rule, path, resume, RepGuard::default())
+                .map(|outcome| (outcome.results, outcome.stats))
+        },
+        || vec![run_scenario(&scenario, seed, rule)],
     );
     if result.failed_replications > 0 {
         eprintln!(
@@ -174,71 +209,31 @@ fn cmd_run(mut args: Args) {
     }
 }
 
-fn cmd_oracle(mut args: Args) {
-    let path = args
-        .next()
-        .unwrap_or_else(|| fail("oracle needs a scenario file"));
-    let mut seed = 2008u64;
-    let mut rule = StoppingRule::default();
+fn cmd_oracle(args: Args) {
     let mut ocfg = OracleConfig::default();
-    let mut journal: Option<String> = None;
-    let mut resume = false;
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--seed" => seed = parse_u64(&mut args, "--seed"),
-            "--min-reps" => rule.min_replications = parse_u64(&mut args, "--min-reps"),
-            "--max-reps" => rule.max_replications = parse_u64(&mut args, "--max-reps"),
-            "--restarts" => ocfg.restarts = parse_u64(&mut args, "--restarts") as u32,
-            "--iters" => ocfg.iters = parse_u64(&mut args, "--iters") as u32,
-            "--oracle-seed" => ocfg.seed = parse_u64(&mut args, "--oracle-seed"),
-            "--oracle-reps" => ocfg.replications = parse_u64(&mut args, "--oracle-reps"),
-            "--journal" => journal = Some(flag_value(&mut args, "--journal")),
-            "--resume" => resume = true,
-            _ => fail(&format!("unknown flag {flag:?} for 'oracle'")),
+    let sweep = SweepArgs::parse("oracle", args, |flag, args| {
+        match flag {
+            "--restarts" => ocfg.restarts = parse_u64(args, "--restarts") as u32,
+            "--iters" => ocfg.iters = parse_u64(args, "--iters") as u32,
+            "--oracle-seed" => ocfg.seed = parse_u64(args, "--oracle-seed"),
+            "--oracle-reps" => ocfg.replications = parse_u64(args, "--oracle-reps"),
+            _ => return false,
         }
+        true
+    });
+    if let Err(e) = ocfg.validate() {
+        fail(&e)
     }
-    if resume && journal.is_none() {
-        fail("--resume requires --journal")
-    }
-    if ocfg.restarts == 0 {
-        fail("--restarts takes a non-zero count")
-    }
-    let scenario = load_scenario(&path);
+    let scenario = load_scenario(&sweep.path);
+    let (seed, rule) = (sweep.seed, &sweep.rule);
     eprintln!(
         "oracle for '{}' (seed {seed}, {} restarts x {} iters x {} replications)...",
         scenario.name, ocfg.restarts, ocfg.iters, ocfg.replications
     );
     let scenarios = std::slice::from_ref(&scenario);
-    let results = match &journal {
-        Some(jpath) => {
-            let (results, stats) = run_matrix_regret_journaled(
-                scenarios,
-                seed,
-                &rule,
-                &ocfg,
-                Path::new(jpath),
-                resume,
-            )
-            .unwrap_or_else(|e| die(&format!("oracle journal {jpath}: {e}")));
-            eprintln!(
-                "oracle journal {jpath}: {} restarts written, {} replayed{}{}",
-                stats.restarts_written,
-                stats.restarts_replayed,
-                if stats.resumes > 0 { " (resumed)" } else { "" },
-                if stats.torn_tails > 0 {
-                    ", torn tail truncated"
-                } else {
-                    ""
-                },
-            );
-            results
-        }
-        None => run_matrix_regret(scenarios, seed, &rule, &ocfg),
-    };
-    let result = &results[0];
-    println!(
-        "{}",
-        serde_json::to_string_pretty(result).expect("result serialises")
+    let result = sweep.run(
+        |path, resume| run_matrix_regret_journaled(scenarios, seed, rule, &ocfg, path, resume),
+        || run_matrix_regret(scenarios, seed, rule, &ocfg),
     );
     match &result.regret {
         Some(reg) => eprintln!(

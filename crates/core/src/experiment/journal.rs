@@ -1,18 +1,34 @@
-//! Crash-safe replication journal: resumable sweeps over an append-only
-//! JSONL store.
+//! Crash-safe journals: one append-only JSONL store, two record kinds.
 //!
 //! A long matrix sweep is hours of compute whose only durable artifact,
 //! until now, was the final JSON — a crash at replication 4 999 of 5 000
-//! lost everything. The journal makes each completed replication durable
-//! the moment it finishes:
+//! lost everything. [`JournalStore`] makes each completed unit of work
+//! durable the moment it finishes, and both resumable computations use
+//! it:
 //!
-//! * line 1 is a **header** that fingerprints the sweep — FNV-1a 64 over
-//!   the canonical JSON of `(scenarios, base_seed, rule)` plus the code
-//!   and journal-schema versions — so a journal can never be replayed
-//!   against a different experiment;
-//! * every following line is one completed [`RepSummary`]
-//!   (`{"kind":"rep","scenario":…,"rep":…,"summary":…}`), appended and
-//!   `fsync`ed before the result can influence anything downstream.
+//! * the **replication journal** of [`run_matrix_journaled`], one
+//!   [`RepSummary`] per completed replication
+//!   (`{"kind":"rep","scenario":…,"rep":…,"summary":…}`);
+//! * the **restart journal** of
+//!   [`run_matrix_regret_journaled`](super::run_matrix_regret_journaled),
+//!   one completed oracle search restart per line
+//!   (`{"kind":"restart","env":…,"rep":…,"outcome":…}`).
+//!
+//! The store owns the durability rules; each caller owns its line type,
+//! its header value and the fold over the records it reads back:
+//!
+//! * line 1 is a **header** naming a schema version and a fingerprint of
+//!   the computation — for sweeps, a 128-bit FNV-1a-style digest of the
+//!   canonical JSON of `(scenarios, base_seed, rule)` plus the code and
+//!   schema versions — so a journal can never be replayed against a
+//!   different experiment;
+//! * every following line is one record, appended and `fsync`ed before
+//!   the result can influence anything downstream;
+//! * only the **final** line may be damaged — that is the only line a
+//!   crash mid-append can tear — and it is truncated away on open, its
+//!   work simply re-run. Damage anywhere else means the file was edited
+//!   or corrupted, and resuming from it would silently skew results, so
+//!   it is an error naming the byte offset.
 //!
 //! ## Resume = replay through the same fold
 //!
@@ -45,9 +61,6 @@
 //! reporting path as saturation, plus `failed_replications` /
 //! `failure_reasons` on the result), and the sweep **continues** with the
 //! remaining scenarios — one poisoned cell no longer aborts the matrix.
-//! The torn tail left by a crash mid-append (a final line without its
-//! newline, or one that no longer parses) is truncated away on open and
-//! its replication simply re-run.
 //!
 //! [`Welford`]: dgsched_des::stats::Welford
 
@@ -66,6 +79,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -91,12 +105,12 @@ pub struct RepGuard {
     pub wall_limit_s: Option<f64>,
 }
 
-/// What the journal did during one sweep.
+/// What a journal did during one run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct JournalStats {
-    /// Replication records appended (and fsynced) this run.
+    /// Records appended (and fsynced) this run.
     pub records_written: u64,
-    /// Replications served from the journal instead of recomputed.
+    /// Records served from the journal instead of recomputed.
     pub records_replayed: u64,
     /// 1 when an existing journal was resumed, else 0.
     pub resumes: u64,
@@ -139,28 +153,6 @@ pub struct JournalOutcome {
     pub results: Vec<ScenarioResult>,
     /// What the journal did.
     pub stats: JournalStats,
-}
-
-/// One line of the journal file.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(tag = "kind", rename_all = "snake_case")]
-enum JournalLine {
-    /// First line: identifies the sweep this journal belongs to.
-    Header {
-        version: u32,
-        /// Hex FNV-1a 64 over the canonical sweep configuration.
-        fingerprint: String,
-        code_version: String,
-        base_seed: u64,
-        scenarios: u64,
-        rule: StoppingRule,
-    },
-    /// One completed replication.
-    Rep {
-        scenario: String,
-        rep: u64,
-        summary: RepSummary,
-    },
 }
 
 /// One FNV-1a-style stream: xor the byte in, multiply by an odd
@@ -224,9 +216,15 @@ pub fn sweep_fingerprint(
     rule: &StoppingRule,
 ) -> io::Result<String> {
     let cfg = canonical_sweep_bytes(scenarios, base_seed, rule)?;
-    let mut tagged = format!("v{JOURNAL_VERSION}|{}|", env!("CARGO_PKG_VERSION")).into_bytes();
-    tagged.extend_from_slice(&cfg);
-    Ok(digest128_hex(&tagged))
+    Ok(tagged_digest("", &cfg))
+}
+
+/// Digest of canonical bytes behind a key-space tag plus the
+/// journal-schema and crate versions.
+fn tagged_digest(tag: &str, cfg: &[u8]) -> String {
+    let mut tagged = format!("{tag}v{JOURNAL_VERSION}|{}|", env!("CARGO_PKG_VERSION")).into_bytes();
+    tagged.extend_from_slice(cfg);
+    digest128_hex(&tagged)
 }
 
 /// Canonical byte encoding of an oracle computation: the `serde_json`
@@ -254,99 +252,58 @@ pub fn oracle_fingerprint(
     ocfg: &super::regret::OracleConfig,
 ) -> io::Result<String> {
     let cfg = canonical_oracle_bytes(scenarios, base_seed, rule, ocfg)?;
-    let mut tagged =
-        format!("oracle|v{JOURNAL_VERSION}|{}|", env!("CARGO_PKG_VERSION")).into_bytes();
-    tagged.extend_from_slice(&cfg);
-    Ok(digest128_hex(&tagged))
+    Ok(tagged_digest("oracle|", &cfg))
 }
 
-/// Shared mutable state of a sweep in progress: the append handle, the
-/// first write error (sticky — later appends are skipped), and the
-/// counters the parallel workers bump.
-struct Shared {
+/// A line type of a [`JournalStore`]: one header line, then records.
+pub(crate) trait JournalLine: Serialize + Deserialize {
+    /// `(schema version, fingerprint)` when this line is a header, `None`
+    /// when it is a record.
+    fn header(&self) -> Option<(u32, &str)>;
+}
+
+/// Append-only JSONL store of completed work. A record exists for
+/// downstream purposes only once `sync_data` returned, so a crash can
+/// tear at most the final line — which [`open`](JournalStore::open)
+/// truncates away.
+pub(crate) struct JournalStore<L> {
     writer: Mutex<File>,
+    /// First write error; sticky — later appends are skipped.
     write_error: Mutex<Option<io::Error>>,
     written: AtomicU64,
     replayed: AtomicU64,
-    panics: AtomicU64,
-    retries: AtomicU64,
+    resumes: u64,
+    torn_tails: u64,
+    line: PhantomData<fn(&L)>,
 }
 
-impl Shared {
-    /// Appends one replication record and makes it durable. A record is
-    /// only readable by a future resume once `sync_data` returned, so a
-    /// crash can tear at most the final line — which `load_journal`
-    /// truncates away.
-    fn append(&self, scenario: &str, rep: u64, summary: &RepSummary) {
-        let mut err_slot = self.write_error.lock();
-        if err_slot.is_some() {
-            return;
-        }
-        let line = JournalLine::Rep {
-            scenario: scenario.to_string(),
-            rep,
-            summary: summary.clone(),
-        };
-        let attempt = (|| -> io::Result<()> {
-            let mut text = serde_json::to_string(&line)
-                .map_err(|e| invalid(format!("journal record does not serialise: {e}")))?;
-            text.push('\n');
-            let mut file = self.writer.lock();
-            file.write_all(text.as_bytes())?;
-            file.sync_data()
-        })();
-        match attempt {
-            Ok(()) => {
-                self.written.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(e) => *err_slot = Some(e),
-        }
-    }
-}
-
-/// Journaled replication summaries, keyed by scenario name, then by
-/// replication index.
-type RecordsByScenario = BTreeMap<String, BTreeMap<u64, RepSummary>>;
-
-/// Parses an existing journal: verifies the header, collects the
-/// contiguous per-scenario prefix of replication records, and reports how
-/// many bytes of the file are valid (anything past that is a torn tail).
-///
-/// Only the *final* line may be damaged — that is the only line a crash
-/// mid-append can tear. Damage anywhere else means the file was edited or
-/// corrupted, and resuming from it would silently skew results, so it is
-/// an error.
-fn parse_journal(data: &[u8], fingerprint: &str) -> io::Result<(RecordsByScenario, usize)> {
-    let mut records: RecordsByScenario = BTreeMap::new();
+/// Parses an existing journal: verifies the header against `expected`,
+/// collects the record lines, and reports how many bytes of the file are
+/// valid (anything past that is a torn tail).
+fn parse_journal<L: JournalLine>(
+    data: &[u8],
+    (version, fingerprint): (u32, &str),
+) -> io::Result<(Vec<L>, usize)> {
+    let mut records = Vec::new();
     let mut valid_len = 0usize;
     let mut offset = 0usize;
-    let mut first = true;
     while let Some(nl) = data[offset..].iter().position(|&b| b == b'\n') {
         let line_end = offset + nl + 1;
+        let first = offset == 0;
         let parsed = std::str::from_utf8(&data[offset..line_end - 1])
             .ok()
-            .and_then(|text| serde_json::from_str::<JournalLine>(text).ok());
+            .and_then(|text| serde_json::from_str::<L>(text).ok());
         let at_tail = line_end == data.len();
-        match parsed {
-            Some(JournalLine::Header {
-                version,
-                fingerprint: fp,
-                ..
-            }) if first => {
-                if version != JOURNAL_VERSION || fp != fingerprint {
+        match parsed.as_ref().map(|line| line.header()) {
+            Some(Some((v, fp))) if first => {
+                if v != version || fp != fingerprint {
                     return Err(invalid(format!(
-                        "journal belongs to a different sweep (fingerprint {fp}, schema v{version}; \
-                         this sweep is {fingerprint}, schema v{JOURNAL_VERSION}): refusing to resume"
+                        "journal belongs to a different run (fingerprint {fp}, schema v{v}; \
+                         this run is {fingerprint}, schema v{version}): refusing to resume"
                     )));
                 }
             }
-            Some(JournalLine::Rep {
-                scenario,
-                rep,
-                summary,
-            }) if !first => {
-                records.entry(scenario).or_default().insert(rep, summary);
-            }
+            Some(None) if !first => records.extend(parsed),
             _ if at_tail => break, // torn final line: drop it
             _ if first => {
                 return Err(invalid(
@@ -359,90 +316,172 @@ fn parse_journal(data: &[u8], fingerprint: &str) -> io::Result<(RecordsByScenari
                 )));
             }
         }
-        first = false;
         valid_len = line_end;
         offset = line_end;
     }
     Ok((records, valid_len))
 }
 
-/// Opens (or creates) the journal for a sweep. Returns the append handle,
-/// the per-scenario contiguous replay prefixes, and the open-time stats.
-fn open_journal(
-    path: &Path,
-    fingerprint: &str,
-    base_seed: u64,
-    scenario_count: usize,
-    rule: &StoppingRule,
-    resume: bool,
-) -> io::Result<(File, BTreeMap<String, Vec<RepSummary>>, JournalStats)> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
+fn to_line<L: Serialize>(line: &L) -> io::Result<String> {
+    let mut text = serde_json::to_string(line)
+        .map_err(|e| invalid(format!("journal line does not serialise: {e}")))?;
+    text.push('\n');
+    Ok(text)
+}
+
+impl<L: JournalLine> JournalStore<L> {
+    /// Opens (or creates) the journal at `path`, returning the store and
+    /// the records of the intact prefix in file order.
+    ///
+    /// With `resume = false` any existing file is overwritten. With
+    /// `resume = true` an existing journal must carry `header`'s version
+    /// and fingerprint (mismatch is an error); its torn tail, if a crash
+    /// left one, is truncated away and appends continue from there. A
+    /// journal with no intact header — empty, missing, or torn inside
+    /// the header itself — is a fresh start: `header` is written.
+    pub(crate) fn open(path: &Path, header: &L, resume: bool) -> io::Result<(Self, Vec<L>)> {
+        let expected = header
+            .header()
+            .expect("a journal is opened with a header line");
+        if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
         }
-    }
-    let mut stats = JournalStats::default();
-    let existing = if resume {
-        match std::fs::read(path) {
-            Ok(data) => data,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(e),
-        }
-    } else {
-        Vec::new()
-    };
-
-    let (records, valid_len) = if existing.is_empty() {
-        (BTreeMap::new(), 0)
-    } else {
-        parse_journal(&existing, fingerprint)?
-    };
-    if valid_len < existing.len() {
-        stats.torn_tails = 1;
-    }
-
-    let mut prefixes = BTreeMap::new();
-    if valid_len > 0 {
-        // A valid header (and possibly records) survived: truncate the
-        // torn tail away and append from there.
-        stats.resumes = 1;
-        // Contiguous prefix only: replication r is replayable iff every
-        // replication before it is journaled too, because the sweep
-        // absorbs in index order.
-        for (name, reps) in records {
-            let mut prefix = Vec::new();
-            for (i, (rep, summary)) in reps.into_iter().enumerate() {
-                if rep != i as u64 {
-                    break;
-                }
-                prefix.push(summary);
+        let existing = if resume {
+            match std::fs::read(path) {
+                Ok(data) => data,
+                Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+                Err(e) => return Err(e),
             }
-            prefixes.insert(name, prefix);
-        }
-        let file = OpenOptions::new().write(true).open(path)?;
-        file.set_len(valid_len as u64)?;
-        let file = OpenOptions::new().append(true).open(path)?;
-        file.sync_data()?;
-        Ok((file, prefixes, stats))
-    } else {
-        // Fresh start — including the case where a crash tore the header
-        // itself, leaving nothing replayable.
-        let mut file = File::create(path)?;
-        let header = JournalLine::Header {
-            version: JOURNAL_VERSION,
-            fingerprint: fingerprint.to_string(),
-            code_version: env!("CARGO_PKG_VERSION").to_string(),
-            base_seed,
-            scenarios: scenario_count as u64,
-            rule: *rule,
+        } else {
+            Vec::new()
         };
-        let mut text = serde_json::to_string(&header)
-            .map_err(|e| invalid(format!("journal header does not serialise: {e}")))?;
-        text.push('\n');
-        file.write_all(text.as_bytes())?;
+        let (records, valid_len) = parse_journal(&existing, expected)?;
+        // Cut the file to its intact prefix (nothing, when there is no
+        // intact header) and append from there.
+        let mut file = OpenOptions::new().append(true).create(true).open(path)?;
+        file.set_len(valid_len as u64)?;
+        if valid_len == 0 {
+            file.write_all(to_line(header)?.as_bytes())?;
+        }
         file.sync_data()?;
-        Ok((file, prefixes, stats))
+        let store = JournalStore {
+            writer: Mutex::new(file),
+            write_error: Mutex::new(None),
+            written: AtomicU64::new(0),
+            replayed: AtomicU64::new(0),
+            resumes: u64::from(valid_len > 0),
+            torn_tails: u64::from(valid_len < existing.len()),
+            line: PhantomData,
+        };
+        Ok((store, records))
     }
+
+    /// Appends one record and makes it durable. After the first failure
+    /// every later append is skipped; [`finish`](Self::finish) reports it.
+    pub(crate) fn append(&self, line: &L) {
+        let mut err_slot = self.write_error.lock();
+        if err_slot.is_some() {
+            return;
+        }
+        let attempt = to_line(line).and_then(|text| {
+            let mut file = self.writer.lock();
+            file.write_all(text.as_bytes())?;
+            file.sync_data()
+        });
+        match attempt {
+            Ok(()) => {
+                self.written.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(e) => *err_slot = Some(e),
+        }
+    }
+
+    /// Counts one record served from the journal instead of recomputed.
+    pub(crate) fn note_replayed(&self) {
+        self.replayed.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Closes the store: the first write error, or what it did.
+    pub(crate) fn finish(self) -> io::Result<JournalStats> {
+        if let Some(e) = self.write_error.into_inner() {
+            return Err(e);
+        }
+        Ok(JournalStats {
+            records_written: self.written.into_inner(),
+            records_replayed: self.replayed.into_inner(),
+            resumes: self.resumes,
+            torn_tails: self.torn_tails,
+            ..JournalStats::default()
+        })
+    }
+}
+
+/// One line of the replication journal.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
+enum RepLine {
+    /// First line: identifies the sweep this journal belongs to.
+    Header {
+        version: u32,
+        /// Hex 128-bit digest over the canonical sweep configuration.
+        fingerprint: String,
+        code_version: String,
+        base_seed: u64,
+        scenarios: u64,
+        rule: StoppingRule,
+    },
+    /// One completed replication.
+    Rep {
+        scenario: String,
+        rep: u64,
+        summary: RepSummary,
+    },
+}
+
+impl JournalLine for RepLine {
+    fn header(&self) -> Option<(u32, &str)> {
+        match self {
+            RepLine::Header {
+                version,
+                fingerprint,
+                ..
+            } => Some((*version, fingerprint)),
+            RepLine::Rep { .. } => None,
+        }
+    }
+}
+
+/// Folds journaled replications into per-scenario replay prefixes.
+/// Contiguous prefix only: replication r is replayable iff every
+/// replication before it is journaled too, because the sweep absorbs in
+/// index order.
+fn replay_prefixes(records: Vec<RepLine>) -> BTreeMap<String, Vec<RepSummary>> {
+    let mut by_scenario: BTreeMap<String, BTreeMap<u64, RepSummary>> = BTreeMap::new();
+    for line in records {
+        if let RepLine::Rep {
+            scenario,
+            rep,
+            summary,
+        } = line
+        {
+            by_scenario
+                .entry(scenario)
+                .or_default()
+                .insert(rep, summary);
+        }
+    }
+    by_scenario
+        .into_iter()
+        .map(|(name, reps)| {
+            let prefix = reps
+                .into_iter()
+                .enumerate()
+                .take_while(|(i, (rep, _))| *rep == *i as u64)
+                .map(|(_, (_, summary))| summary)
+                .collect();
+            (name, prefix)
+        })
+        .collect()
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
@@ -455,16 +494,27 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
+/// Per-sweep context shared by every scenario of a journaled matrix:
+/// everything [`journaled_scenario`] needs besides the scenario
+/// itself and its journaled prefix.
+struct SweepCtx<'a> {
+    base_seed: u64,
+    rule: &'a StoppingRule,
+    obs: bool,
+    guard: RepGuard,
+    store: &'a JournalStore<RepLine>,
+    panics: AtomicU64,
+    retries: AtomicU64,
+}
+
 /// Runs one replication inside the isolation wrapper: panics are caught
 /// on the worker (the pool never sees them), retried once, then recorded
 /// as a failed-with-reason summary; a wall-budget overrun is recorded as
 /// saturation.
 fn run_rep_isolated<R>(
     scenario: &Scenario,
-    base_seed: u64,
     rep: u64,
-    guard: RepGuard,
-    shared: &Shared,
+    ctx: &SweepCtx<'_>,
     rep_runner: &R,
 ) -> RepSummary
 where
@@ -475,10 +525,10 @@ where
         // dgsched-analyze: allow(wall-clock) -- RepGuard's wall-clock limit is an explicit safety valve; a tripped limit serializes as `saturated`, the same value the event budget produces deterministically
         let start = Instant::now();
         match catch_unwind(AssertUnwindSafe(|| {
-            RepSummary::of(&rep_runner(scenario, base_seed, rep))
+            RepSummary::of(&rep_runner(scenario, ctx.base_seed, rep))
         })) {
             Ok(summary) => {
-                if let Some(limit) = guard.wall_limit_s {
+                if let Some(limit) = ctx.guard.wall_limit_s {
                     if start.elapsed().as_secs_f64() > limit {
                         return RepSummary {
                             saturated: true,
@@ -489,11 +539,11 @@ where
                 return summary;
             }
             Err(payload) => {
-                shared.panics.fetch_add(1, Ordering::Relaxed);
+                ctx.panics.fetch_add(1, Ordering::Relaxed);
                 let reason = panic_message(payload.as_ref()).to_string();
                 if !retried {
                     retried = true;
-                    shared.retries.fetch_add(1, Ordering::Relaxed);
+                    ctx.retries.fetch_add(1, Ordering::Relaxed);
                     continue;
                 }
                 return RepSummary::failure(format!(
@@ -504,18 +554,7 @@ where
     }
 }
 
-/// Per-sweep context shared by every scenario of a journaled matrix:
-/// everything [`run_scenario_journaled_inner`] needs besides the scenario
-/// itself and its journaled prefix.
-struct SweepCtx<'a> {
-    base_seed: u64,
-    rule: &'a StoppingRule,
-    obs: bool,
-    guard: RepGuard,
-    shared: &'a Shared,
-}
-
-fn run_scenario_journaled_inner<R>(
+fn journaled_scenario<R>(
     scenario: &Scenario,
     prefix: &[RepSummary],
     ctx: &SweepCtx<'_>,
@@ -528,23 +567,12 @@ where
         let start = range.start;
         let summaries: Vec<(RepSummary, bool)> = range
             .into_par_iter()
-            .map(|rep| {
-                if (rep as usize) < prefix.len() {
-                    ctx.shared.replayed.fetch_add(1, Ordering::Relaxed);
-                    (prefix[rep as usize].clone(), true)
-                } else {
-                    (
-                        run_rep_isolated(
-                            scenario,
-                            ctx.base_seed,
-                            rep,
-                            ctx.guard,
-                            ctx.shared,
-                            rep_runner,
-                        ),
-                        false,
-                    )
+            .map(|rep| match prefix.get(rep as usize) {
+                Some(summary) => {
+                    ctx.store.note_replayed();
+                    (summary.clone(), true)
                 }
+                None => (run_rep_isolated(scenario, rep, ctx, rep_runner), false),
             })
             .collect();
         // Journal fresh summaries in replication order before absorbing:
@@ -552,7 +580,11 @@ where
         // durable record of it exists.
         for (i, (summary, from_journal)) in summaries.iter().enumerate() {
             if !from_journal {
-                ctx.shared.append(&scenario.name, start + i as u64, summary);
+                ctx.store.append(&RepLine::Rep {
+                    scenario: scenario.name.clone(),
+                    rep: start + i as u64,
+                    summary: summary.clone(),
+                });
             }
         }
         summaries.into_iter().map(|(s, _)| s).collect()
@@ -584,11 +616,15 @@ pub fn run_matrix_journaled(
     resume: bool,
     guard: RepGuard,
 ) -> io::Result<JournalOutcome> {
-    run_matrix_journaled_with(scenarios, base_seed, rule, path, resume, guard, {
-        move |s: &Scenario, seed: u64, rep: u64| {
-            run_replication_capped(s, seed, rep, guard.max_events)
-        }
-    })
+    run_matrix_journaled_with_progress(
+        scenarios,
+        base_seed,
+        rule,
+        path,
+        resume,
+        guard,
+        |_, _, _| {},
+    )
 }
 
 /// [`run_matrix_journaled`] reporting scenario completions through
@@ -671,23 +707,24 @@ where
             "scenario names must be unique: the journal keys records by name",
         ));
     }
-    let fingerprint = sweep_fingerprint(scenarios, base_seed, rule)?;
-    let (file, prefixes, mut stats) =
-        open_journal(path, &fingerprint, base_seed, scenarios.len(), rule, resume)?;
-    let shared = Shared {
-        writer: Mutex::new(file),
-        write_error: Mutex::new(None),
-        written: AtomicU64::new(0),
-        replayed: AtomicU64::new(0),
-        panics: AtomicU64::new(0),
-        retries: AtomicU64::new(0),
+    let header = RepLine::Header {
+        version: JOURNAL_VERSION,
+        fingerprint: sweep_fingerprint(scenarios, base_seed, rule)?,
+        code_version: env!("CARGO_PKG_VERSION").to_string(),
+        base_seed,
+        scenarios: scenarios.len() as u64,
+        rule: *rule,
     };
+    let (store, records) = JournalStore::open(path, &header, resume)?;
+    let prefixes = replay_prefixes(records);
     let ctx = SweepCtx {
         base_seed,
         rule,
         obs: obs_enabled(),
         guard,
-        shared: &shared,
+        store: &store,
+        panics: AtomicU64::new(0),
+        retries: AtomicU64::new(0),
     };
     let sink = ProgressSink::new(scenarios.len(), progress);
     let results: Vec<ScenarioResult> = scenarios
@@ -697,46 +734,24 @@ where
                 .get(&scenario.name)
                 .map(Vec::as_slice)
                 .unwrap_or(&[]);
-            let r = run_scenario_journaled_inner(scenario, prefix, &ctx, rep_runner);
+            let r = journaled_scenario(scenario, prefix, &ctx, rep_runner);
             sink.complete(&scenario.name);
             r
         })
         .collect();
-    if let Some(e) = shared.write_error.lock().take() {
-        return Err(e);
-    }
-    stats.records_written = shared.written.load(Ordering::Relaxed);
-    stats.records_replayed = shared.replayed.load(Ordering::Relaxed);
-    stats.replication_panics = shared.panics.load(Ordering::Relaxed);
-    stats.replication_retries = shared.retries.load(Ordering::Relaxed);
+    let (panics, retries) = (ctx.panics.into_inner(), ctx.retries.into_inner());
+    let stats = JournalStats {
+        replication_panics: panics,
+        replication_retries: retries,
+        ..store.finish()?
+    };
     Ok(JournalOutcome { results, stats })
-}
-
-/// One-scenario convenience wrapper around [`run_matrix_journaled`] — the
-/// shape `dgsched run --journal` uses.
-pub fn run_scenario_journaled(
-    scenario: &Scenario,
-    base_seed: u64,
-    rule: &StoppingRule,
-    path: &Path,
-    resume: bool,
-    guard: RepGuard,
-) -> io::Result<(ScenarioResult, JournalStats)> {
-    let mut outcome = run_matrix_journaled(
-        std::slice::from_ref(scenario),
-        base_seed,
-        rule,
-        path,
-        resume,
-        guard,
-    )?;
-    let result = outcome.results.pop().expect("exactly one scenario");
-    Ok((result, outcome.stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::regret::OracleLine;
     use crate::experiment::runner::run_matrix;
     use crate::experiment::scenario::WorkloadKind;
     use crate::policy::PolicyKind;
@@ -887,5 +902,236 @@ mod tests {
         assert_eq!(out.stats.records_replayed, 0);
         assert!(out.stats.records_written > 0);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// What opening a damaged journal with `resume = true` must do.
+    #[derive(Debug)]
+    enum Expect {
+        /// Fresh start: the file is rewritten to just the header.
+        Fresh { torn_tails: u64 },
+        /// Resume: `records` come back and the file is cut to `keep` bytes.
+        Resumed {
+            records: usize,
+            torn_tails: u64,
+            keep: usize,
+        },
+        /// Refusal naming `needle`; the file is left untouched.
+        Refused { needle: String },
+    }
+
+    /// The store's open-time rules for one line type. `header` is this
+    /// run's header, `foreign` another run's, `record` any record.
+    fn check_store_rules<L: JournalLine>(tag: &str, header: &L, foreign: &L, record: &L) {
+        let h = to_line(header).unwrap().into_bytes();
+        let r = to_line(record).unwrap().into_bytes();
+        let cat = |parts: &[&[u8]]| parts.concat();
+        let deep = cat(&[&vec![b'['; 10_000], b"\n"]);
+        let cases: Vec<(&str, Vec<u8>, Expect)> = vec![
+            ("empty file", Vec::new(), Expect::Fresh { torn_tails: 0 }),
+            (
+                "header only",
+                h.clone(),
+                Expect::Resumed {
+                    records: 0,
+                    torn_tails: 0,
+                    keep: h.len(),
+                },
+            ),
+            (
+                "torn header",
+                h[..h.len() / 2].to_vec(),
+                Expect::Fresh { torn_tails: 1 },
+            ),
+            (
+                "torn final record",
+                cat(&[&h, &r, &r[..r.len() / 2]]),
+                Expect::Resumed {
+                    records: 1,
+                    torn_tails: 1,
+                    keep: h.len() + r.len(),
+                },
+            ),
+            (
+                "corrupt middle line",
+                cat(&[&h, b"{\"kind\":\"garbage\n", &r]),
+                Expect::Refused {
+                    needle: format!("corrupt at byte {}", h.len()),
+                },
+            ),
+            (
+                "header of another run",
+                cat(&[&to_line(foreign).unwrap().into_bytes(), &r]),
+                Expect::Refused {
+                    needle: "fingerprint".to_string(),
+                },
+            ),
+            (
+                "non-UTF-8 middle line",
+                cat(&[&h, &[0xff, 0xfe, b'\n'], &r]),
+                Expect::Refused {
+                    needle: format!("corrupt at byte {}", h.len()),
+                },
+            ),
+            (
+                "non-UTF-8 final line",
+                cat(&[&h, &r, &[0xc3, 0x28, b'\n']]),
+                Expect::Resumed {
+                    records: 1,
+                    torn_tails: 1,
+                    keep: h.len() + r.len(),
+                },
+            ),
+            (
+                "10k-deep [ line",
+                cat(&[&h, &deep, &r]),
+                Expect::Refused {
+                    needle: format!("corrupt at byte {}", h.len()),
+                },
+            ),
+        ];
+        let path = tmp(&format!("store-rules-{tag}"));
+        for (name, bytes, expect) in cases {
+            std::fs::write(&path, &bytes).unwrap();
+            let opened = JournalStore::open(&path, header, true);
+            let on_disk = std::fs::read(&path).unwrap();
+            match (opened, &expect) {
+                (Ok((store, records)), Expect::Fresh { torn_tails }) => {
+                    assert!(records.is_empty(), "{tag}/{name}");
+                    assert_eq!(on_disk, h, "{tag}/{name}: header rewritten");
+                    let stats = store.finish().unwrap();
+                    assert_eq!(
+                        (stats.resumes, stats.torn_tails),
+                        (0, *torn_tails),
+                        "{tag}/{name}"
+                    );
+                }
+                (
+                    Ok((store, got)),
+                    Expect::Resumed {
+                        records,
+                        torn_tails,
+                        keep,
+                    },
+                ) => {
+                    assert_eq!(got.len(), *records, "{tag}/{name}");
+                    assert!(got.iter().all(|l| l.header().is_none()), "{tag}/{name}");
+                    assert_eq!(on_disk, bytes[..*keep], "{tag}/{name}: torn tail cut");
+                    let stats = store.finish().unwrap();
+                    assert_eq!(
+                        (stats.resumes, stats.torn_tails),
+                        (1, *torn_tails),
+                        "{tag}/{name}"
+                    );
+                }
+                (Err(e), Expect::Refused { needle }) => {
+                    assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{tag}/{name}");
+                    assert!(e.to_string().contains(needle.as_str()), "{tag}/{name}: {e}");
+                    assert_eq!(on_disk, bytes, "{tag}/{name}: refused file untouched");
+                }
+                (Ok(_), _) => panic!("{tag}/{name}: opened, expected {expect:?}"),
+                (Err(e), _) => panic!("{tag}/{name}: {e}, expected {expect:?}"),
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    fn rep_lines() -> (RepLine, RepLine, RepLine) {
+        let header = |fingerprint: &str| RepLine::Header {
+            version: JOURNAL_VERSION,
+            fingerprint: fingerprint.to_string(),
+            code_version: env!("CARGO_PKG_VERSION").to_string(),
+            base_seed: 11,
+            scenarios: 1,
+            rule: rule(),
+        };
+        let record = RepLine::Rep {
+            scenario: "a".to_string(),
+            rep: 0,
+            summary: RepSummary::default(),
+        };
+        (header("00aa"), header("00bb"), record)
+    }
+
+    fn oracle_lines() -> (OracleLine, OracleLine, OracleLine) {
+        let header = |fingerprint: &str| OracleLine::Header {
+            version: 1,
+            fingerprint: fingerprint.to_string(),
+            code_version: env!("CARGO_PKG_VERSION").to_string(),
+        };
+        let record = OracleLine::Restart {
+            env: "e".to_string(),
+            rep: 0,
+            outcome: dgsched_oracle::RestartOutcome {
+                restart: 0,
+                cost: 1.5,
+                perm: vec![1, 0, 2],
+                evaluations: 3,
+            },
+        };
+        (header("00aa"), header("00bb"), record)
+    }
+
+    #[test]
+    fn store_open_rules_hold_for_both_record_kinds() {
+        let (header, foreign, record) = rep_lines();
+        check_store_rules("rep", &header, &foreign, &record);
+        let (header, foreign, record) = oracle_lines();
+        check_store_rules("restart", &header, &foreign, &record);
+    }
+
+    /// Opens `data` as a journal and checks the outcome is well-formed:
+    /// either a refusal, or a file that is the header or an intact,
+    /// newline-terminated prefix of `data`.
+    fn open_edited<L: JournalLine>(path: &Path, header: &L, data: &[u8]) -> Result<(), String> {
+        std::fs::write(path, data).unwrap();
+        let h = to_line(header).unwrap().into_bytes();
+        match JournalStore::open(path, header, true) {
+            Ok((store, _)) => {
+                let on_disk = std::fs::read(path).unwrap();
+                let stats = store.finish().unwrap();
+                let prefix = data.starts_with(&on_disk) && on_disk.ends_with(b"\n");
+                if stats.resumes == 1 && !prefix {
+                    return Err(format!("resumed file is not a prefix: {on_disk:?}"));
+                }
+                if stats.resumes == 0 && on_disk != h {
+                    return Err(format!("fresh file is not the header: {on_disk:?}"));
+                }
+                Ok(())
+            }
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => Ok(()),
+            Err(e) => Err(format!("unexpected I/O error: {e}")),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn byte_edits_and_truncations_never_panic(
+            edits in proptest::collection::vec((0usize..4096, 0u8..=255), 0..6),
+            cut in 0usize..4096,
+            oracle in 0u8..2,
+        ) {
+            let edit = |mut data: Vec<u8>| {
+                for &(at, byte) in &edits {
+                    let len = data.len();
+                    data[at % len] = byte;
+                }
+                data.truncate(cut % (data.len() + 1));
+                data
+            };
+            let path = tmp("store-fuzz");
+            let outcome = if oracle == 1 {
+                let (header, _, record) = oracle_lines();
+                let data = [&header, &record, &record, &record].map(|l| to_line(l).unwrap()).concat();
+                open_edited(&path, &header, &edit(data.into_bytes()))
+            } else {
+                let (header, _, record) = rep_lines();
+                let data = [&header, &record, &record, &record].map(|l| to_line(l).unwrap()).concat();
+                open_edited(&path, &header, &edit(data.into_bytes()))
+            };
+            std::fs::remove_file(&path).ok();
+            proptest::prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+        }
     }
 }

@@ -14,13 +14,13 @@ mod table;
 pub use figures::{extended_panels, fig1_panels, fig2_panels, PanelSpec};
 pub use journal::{
     canonical_oracle_bytes, canonical_sweep_bytes, oracle_fingerprint, run_matrix_journaled,
-    run_matrix_journaled_with, run_matrix_journaled_with_progress, run_scenario_journaled,
-    sweep_fingerprint, JournalOutcome, JournalStats, RepGuard,
+    run_matrix_journaled_with, run_matrix_journaled_with_progress, sweep_fingerprint,
+    JournalOutcome, JournalStats, RepGuard,
 };
 pub use plot::{panel_chart, BarChart};
 pub use regret::{
     oracle_replication, run_matrix_regret, run_matrix_regret_journaled, OracleConfig,
-    OracleJournalStats, OracleReplication, RegretSection,
+    OracleReplication, RegretSection,
 };
 pub use report::Report;
 pub use runner::{

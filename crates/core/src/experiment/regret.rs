@@ -39,13 +39,15 @@
 //! ## Journaled restarts
 //!
 //! [`run_matrix_regret_journaled`] makes each completed search restart
-//! durable the moment it finishes (append + fsync, torn tails truncated
-//! on open — the same discipline as the replication journal), keyed by
-//! `(environment digest, replication, restart)`. Because a restart is a
-//! pure function of its key and [`fold`] is order-insensitive, a resumed
-//! search is byte-identical to an uninterrupted one.
+//! durable the moment it finishes, through the same journal store as the
+//! replication journal (append + fsync, torn tails truncated on open),
+//! keyed by `(environment digest, replication, restart)`. Because a
+//! restart is a pure function of its key and [`fold`] is
+//! order-insensitive, a resumed search is byte-identical to an
+//! uninterrupted one. The base sweep is recomputed on resume, not
+//! journaled.
 
-use super::journal::{digest128_hex, oracle_fingerprint};
+use super::journal::{digest128_hex, oracle_fingerprint, JournalLine, JournalStats, JournalStore};
 use super::runner::{replication_inputs, reportable_ci, run_replication_traced, ScenarioResult};
 use super::scenario::Scenario;
 use crate::policy::{BagSelection, PolicyKind, View};
@@ -56,8 +58,7 @@ use dgsched_workload::BotId;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::io;
 use std::path::Path;
 
 /// Knobs of the oracle computation.
@@ -89,6 +90,21 @@ fn default_iters() -> u32 {
 
 fn default_replications() -> u64 {
     3
+}
+
+impl OracleConfig {
+    /// Rejects knobs with nothing to measure: zero restarts leave the
+    /// search nothing to fold, and zero replications would report a
+    /// made-up 0 % regret over an empty sample.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.restarts == 0 {
+            return Err("oracle restarts must be non-zero".to_string());
+        }
+        if self.replications == 0 {
+            return Err("oracle replications must be non-zero".to_string());
+        }
+        Ok(())
+    }
 }
 
 impl Default for OracleConfig {
@@ -223,7 +239,7 @@ fn oracle_replication_inner(
     base_seed: u64,
     rep: u64,
     ocfg: &OracleConfig,
-    journal: Option<(&OracleJournal, &str)>,
+    journal: Option<(&RestartJournal, &str)>,
 ) -> OracleReplication {
     let (_, trace) = run_replication_traced(scenario, base_seed, rep);
     let (grid, workload, cfg) = replication_inputs(scenario, base_seed, rep);
@@ -258,8 +274,8 @@ fn oracle_replication_inner(
         .into_par_iter()
         .map(|r| {
             if let Some((j, env_key)) = journal {
-                if let Some(done) = j.lookup(env_key, rep, r) {
-                    return (done, true);
+                if let Some(done) = j.done.get(&(env_key.to_string(), rep, r)) {
+                    return (done.clone(), true);
                 }
             }
             (run_restart(workload.len(), r, &scfg, &cost), false)
@@ -267,10 +283,14 @@ fn oracle_replication_inner(
         .collect();
     if let Some((j, env_key)) = journal {
         for (outcome, replayed) in &outcomes {
-            if !replayed {
-                j.append(env_key, rep, outcome);
+            if *replayed {
+                j.store.note_replayed();
             } else {
-                j.note_replayed();
+                j.store.append(&OracleLine::Restart {
+                    env: env_key.to_string(),
+                    rep,
+                    outcome: outcome.clone(),
+                });
             }
         }
     }
@@ -354,7 +374,7 @@ fn regret_pass(
     base_seed: u64,
     rule: &StoppingRule,
     ocfg: &OracleConfig,
-    journal: Option<&OracleJournal>,
+    journal: Option<&RestartJournal>,
 ) {
     // Group scenarios by environment digest (BTreeMap: deterministic
     // iteration) so each timeline is captured and searched exactly once,
@@ -398,26 +418,13 @@ pub fn run_matrix_regret(
     results
 }
 
-/// What the oracle journal did during one run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct OracleJournalStats {
-    /// Restart records appended (and fsynced) this run.
-    pub restarts_written: u64,
-    /// Restarts served from the journal instead of recomputed.
-    pub restarts_replayed: u64,
-    /// 1 when an existing journal was resumed, else 0.
-    pub resumes: u64,
-    /// Torn tail records truncated away on open.
-    pub torn_tails: u64,
-}
-
 /// Oracle journal schema version, folded into the fingerprint.
 const ORACLE_JOURNAL_VERSION: u32 = 1;
 
 /// One line of the oracle restart journal.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[serde(tag = "kind", rename_all = "snake_case")]
-enum OracleLine {
+pub(super) enum OracleLine {
     Header {
         version: u32,
         fingerprint: String,
@@ -430,165 +437,25 @@ enum OracleLine {
     },
 }
 
-/// Append-only JSONL store of completed search restarts, with the same
-/// durability discipline as the replication journal: a record exists for
-/// downstream purposes only once fsynced, and only the final line of a
-/// crashed run may be torn.
-struct OracleJournal {
-    writer: parking_lot::Mutex<File>,
-    write_error: parking_lot::Mutex<Option<io::Error>>,
-    records: BTreeMap<(String, u64, u32), RestartOutcome>,
-    written: std::sync::atomic::AtomicU64,
-    replayed: std::sync::atomic::AtomicU64,
-}
-
-impl OracleJournal {
-    fn lookup(&self, env: &str, rep: u64, restart: u32) -> Option<RestartOutcome> {
-        self.records.get(&(env.to_string(), rep, restart)).cloned()
-    }
-
-    fn note_replayed(&self) {
-        self.replayed
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    fn append(&self, env: &str, rep: u64, outcome: &RestartOutcome) {
-        let mut err_slot = self.write_error.lock();
-        if err_slot.is_some() {
-            return;
-        }
-        let line = OracleLine::Restart {
-            env: env.to_string(),
-            rep,
-            outcome: outcome.clone(),
-        };
-        let attempt = (|| -> io::Result<()> {
-            let mut text = serde_json::to_string(&line)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-            text.push('\n');
-            let mut file = self.writer.lock();
-            file.write_all(text.as_bytes())?;
-            file.sync_data()
-        })();
-        match attempt {
-            Ok(()) => {
-                self.written
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }
-            Err(e) => *err_slot = Some(e),
-        }
-    }
-}
-
-fn invalid(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
-}
-
-/// Opens (or creates) the restart journal at `path`; parses the replay
-/// map on resume. Mirrors the replication journal's torn-tail rules:
-/// only the final line may be damaged.
-fn open_oracle_journal(
-    path: &Path,
-    fingerprint: &str,
-    resume: bool,
-) -> io::Result<(OracleJournal, OracleJournalStats)> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    let mut stats = OracleJournalStats::default();
-    let existing = if resume {
-        match std::fs::read(path) {
-            Ok(data) => data,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(e),
-        }
-    } else {
-        Vec::new()
-    };
-
-    let mut records = BTreeMap::new();
-    let mut valid_len = 0usize;
-    let mut offset = 0usize;
-    let mut first = true;
-    while let Some(nl) = existing[offset..].iter().position(|&b| b == b'\n') {
-        let line_end = offset + nl + 1;
-        let parsed = std::str::from_utf8(&existing[offset..line_end - 1])
-            .ok()
-            .and_then(|text| serde_json::from_str::<OracleLine>(text).ok());
-        let at_tail = line_end == existing.len();
-        match parsed {
-            Some(OracleLine::Header {
+impl JournalLine for OracleLine {
+    fn header(&self) -> Option<(u32, &str)> {
+        match self {
+            OracleLine::Header {
                 version,
-                fingerprint: fp,
+                fingerprint,
                 ..
-            }) if first => {
-                if version != ORACLE_JOURNAL_VERSION || fp != fingerprint {
-                    return Err(invalid(format!(
-                        "oracle journal belongs to a different search (fingerprint {fp}, \
-                         schema v{version}; this search is {fingerprint}, schema \
-                         v{ORACLE_JOURNAL_VERSION}): refusing to resume"
-                    )));
-                }
-            }
-            Some(OracleLine::Restart { env, rep, outcome }) if !first => {
-                records.insert((env, rep, outcome.restart), outcome);
-            }
-            _ if at_tail => break, // torn final line: drop it
-            _ if first => {
-                return Err(invalid(
-                    "oracle journal does not start with a valid header line".to_string(),
-                ));
-            }
-            _ => {
-                return Err(invalid(format!(
-                    "oracle journal is corrupt at byte {offset}: only the final record may be torn"
-                )));
-            }
+            } => Some((*version, fingerprint)),
+            OracleLine::Restart { .. } => None,
         }
-        first = false;
-        valid_len = line_end;
-        offset = line_end;
     }
+}
 
-    let file = if valid_len > 0 {
-        stats.resumes = 1;
-        if valid_len < existing.len() {
-            stats.torn_tails = 1;
-        }
-        let file = OpenOptions::new().write(true).open(path)?;
-        file.set_len(valid_len as u64)?;
-        let file = OpenOptions::new().append(true).open(path)?;
-        file.sync_data()?;
-        file
-    } else {
-        if !existing.is_empty() {
-            stats.torn_tails = 1;
-        }
-        let mut file = File::create(path)?;
-        let header = OracleLine::Header {
-            version: ORACLE_JOURNAL_VERSION,
-            fingerprint: fingerprint.to_string(),
-            code_version: env!("CARGO_PKG_VERSION").to_string(),
-        };
-        let mut text = serde_json::to_string(&header)
-            .map_err(|e| invalid(format!("oracle journal header does not serialise: {e}")))?;
-        text.push('\n');
-        file.write_all(text.as_bytes())?;
-        file.sync_data()?;
-        file
-    };
-    Ok((
-        OracleJournal {
-            writer: parking_lot::Mutex::new(file),
-            write_error: parking_lot::Mutex::new(None),
-            records,
-            written: std::sync::atomic::AtomicU64::new(0),
-            replayed: std::sync::atomic::AtomicU64::new(0),
-        },
-        stats,
-    ))
+/// The restart journal of a search in progress: the store, plus the
+/// journaled restarts keyed by `(environment digest, replication,
+/// restart)`.
+struct RestartJournal {
+    store: JournalStore<OracleLine>,
+    done: BTreeMap<(String, u64, u32), RestartOutcome>,
 }
 
 /// [`run_matrix_regret`] with a crash-safe restart journal at `path`.
@@ -596,7 +463,8 @@ fn open_oracle_journal(
 /// Every completed search restart is durable before it can influence a
 /// published number; on `resume = true` journaled restarts are folded in
 /// instead of recomputed (fingerprint mismatch is an error). Results are
-/// byte-identical to the unjournaled run.
+/// byte-identical to the unjournaled run. The base sweep is recomputed,
+/// not journaled.
 pub fn run_matrix_regret_journaled(
     scenarios: &[Scenario],
     base_seed: u64,
@@ -604,9 +472,23 @@ pub fn run_matrix_regret_journaled(
     ocfg: &OracleConfig,
     path: &Path,
     resume: bool,
-) -> io::Result<(Vec<ScenarioResult>, OracleJournalStats)> {
-    let fingerprint = oracle_fingerprint(scenarios, base_seed, rule, ocfg)?;
-    let (journal, mut stats) = open_oracle_journal(path, &fingerprint, resume)?;
+) -> io::Result<(Vec<ScenarioResult>, JournalStats)> {
+    let header = OracleLine::Header {
+        version: ORACLE_JOURNAL_VERSION,
+        fingerprint: oracle_fingerprint(scenarios, base_seed, rule, ocfg)?,
+        code_version: env!("CARGO_PKG_VERSION").to_string(),
+    };
+    let (store, records) = JournalStore::open(path, &header, resume)?;
+    let done = records
+        .into_iter()
+        .filter_map(|line| match line {
+            OracleLine::Restart { env, rep, outcome } => {
+                Some(((env, rep, outcome.restart), outcome))
+            }
+            OracleLine::Header { .. } => None,
+        })
+        .collect();
+    let journal = RestartJournal { store, done };
     let mut results = super::runner::run_matrix(scenarios, base_seed, rule);
     regret_pass(
         scenarios,
@@ -616,12 +498,7 @@ pub fn run_matrix_regret_journaled(
         ocfg,
         Some(&journal),
     );
-    if let Some(e) = journal.write_error.lock().take() {
-        return Err(e);
-    }
-    stats.restarts_written = journal.written.load(std::sync::atomic::Ordering::Relaxed);
-    stats.restarts_replayed = journal.replayed.load(std::sync::atomic::Ordering::Relaxed);
-    Ok((results, stats))
+    Ok((results, journal.store.finish()?))
 }
 
 #[cfg(test)]
@@ -773,14 +650,14 @@ mod tests {
 
         let (first, stats1) =
             run_matrix_regret_journaled(&scenarios, 2008, &rule, &ocfg, &path, false).unwrap();
-        assert_eq!(stats1.restarts_written, 2 * 2, "restarts × replications");
+        assert_eq!(stats1.records_written, 2 * 2, "restarts × replications");
         assert_eq!(stats1.resumes, 0);
 
         let (second, stats2) =
             run_matrix_regret_journaled(&scenarios, 2008, &rule, &ocfg, &path, true).unwrap();
         assert_eq!(stats2.resumes, 1);
-        assert_eq!(stats2.restarts_written, 0, "everything replayed");
-        assert_eq!(stats2.restarts_replayed, 4);
+        assert_eq!(stats2.records_written, 0, "everything replayed");
+        assert_eq!(stats2.records_replayed, 4);
         assert_eq!(
             serde_json::to_string(&first).unwrap(),
             serde_json::to_string(&second).unwrap(),

@@ -20,6 +20,15 @@
 //!   `TcpListener` — no async runtime, blocking threads all the way
 //!   down. `POST /sweep` returns the response JSON; add `?stream=1` for
 //!   JSONL progress events as the sweep runs.
+//!
+//! `POST /oracle` (a sweep plus per-policy hindsight regret) shares the
+//! whole lifecycle — cache probe, single-flight, admission, journaled
+//! run, cache insert, publish — and answers with the same
+//! [`SweepResponse`] shape, cached under a distinctly tagged fingerprint.
+//! Its journal holds completed search restarts, so a killed daemon
+//! resumes the search byte-identically; the oracle's base sweep is
+//! recomputed on resume, not journaled. It has no progress events and
+//! ignores `?stream=1`.
 
 pub mod admission;
 pub mod cache;
@@ -30,8 +39,7 @@ pub mod single_flight;
 pub use admission::{Admission, Permit};
 pub use cache::{CacheEntry, CacheLookup, ResultCache};
 pub use protocol::{
-    http_request, http_request_streaming, HttpResponse, OracleRequest, OracleResponse, StreamEvent,
-    SweepRequest, SweepResponse,
+    http_request, HttpResponse, OracleRequest, StreamEvent, SweepRequest, SweepResponse,
 };
 pub use server::{self_check, ServeConfig, Server, ServerHandle};
 pub use single_flight::{FlightRole, SingleFlight};

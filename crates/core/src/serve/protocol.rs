@@ -47,16 +47,19 @@ pub struct SweepRequest {
     pub tenant: Option<String>,
 }
 
-/// Body of a successful sweep response. Serialised once, cached, and
-/// replayed byte-for-byte on every cache hit — the determinism contract
-/// (same request ⇒ same bytes at any pool width) is what makes cache
-/// hits trivially verifiable.
+/// Body of a successful `/sweep` or `/oracle` response. Serialised once,
+/// cached, and replayed byte-for-byte on every cache hit — the
+/// determinism contract (same request ⇒ same bytes at any pool width) is
+/// what makes cache hits trivially verifiable.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SweepResponse {
-    /// The 128-bit sweep fingerprint the result is cached under.
+    /// The 128-bit sweep or oracle fingerprint the result is cached
+    /// under.
     pub fingerprint: String,
     /// One result per scenario, in request order — exactly what
-    /// [`run_matrix`](crate::experiment::run_matrix) would produce.
+    /// [`run_matrix`](crate::experiment::run_matrix) would produce, or,
+    /// for `/oracle`, [`run_matrix_regret`](crate::experiment::run_matrix_regret)
+    /// with its `regret` section.
     pub results: Vec<ScenarioResult>,
 }
 
@@ -80,19 +83,6 @@ pub struct OracleRequest {
     /// Fair-share admission bucket, as on `/sweep`.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub tenant: Option<String>,
-}
-
-/// Body of a successful `/oracle` response: sweep results with the
-/// `regret` section attached to every non-saturated scenario. Cached and
-/// replayed byte-for-byte like sweep responses.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct OracleResponse {
-    /// The 128-bit oracle fingerprint the result is cached under.
-    pub fingerprint: String,
-    /// One result per scenario, in request order — exactly what
-    /// [`run_matrix_regret`](crate::experiment::run_matrix_regret)
-    /// produces.
-    pub results: Vec<ScenarioResult>,
 }
 
 /// One line of a `POST /sweep?stream=1` response: progress events while
@@ -356,30 +346,6 @@ pub fn http_request(
         headers,
         body,
     })
-}
-
-/// What [`http_request_streaming`] yields: status, response headers, and
-/// the reader positioned at the first body line.
-pub type StreamingResponse = (u16, Vec<(String, String)>, BufReader<TcpStream>);
-
-/// [`http_request`] for streaming endpoints: sends the request, parses
-/// the response head, and hands back the reader positioned at the first
-/// body line so the caller can consume JSONL events as they arrive.
-pub fn http_request_streaming(
-    addr: &str,
-    method: &str,
-    target: &str,
-    headers: &[(&str, &str)],
-    body: &[u8],
-) -> io::Result<StreamingResponse> {
-    let stream = TcpStream::connect(addr)?;
-    let mut writer = stream.try_clone()?;
-    write_request_head(&mut writer, method, target, headers, body.len())?;
-    writer.write_all(body)?;
-    writer.flush()?;
-    let mut reader = BufReader::new(stream);
-    let (status, headers) = read_response_head(&mut reader)?;
-    Ok((status, headers, reader))
 }
 
 #[cfg(test)]

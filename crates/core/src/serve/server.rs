@@ -1,7 +1,10 @@
-//! The daemon: accept loop, request routing, and the sweep execution
-//! path that ties cache, single-flight, admission and journal together.
+//! The daemon: accept loop, request routing, and the one job lifecycle
+//! that ties cache, single-flight, admission and journal together.
 //!
-//! Lifecycle of a `POST /sweep`:
+//! `POST /sweep` and `POST /oracle` are both a [`Job`]; the job holds
+//! everything the two endpoints do differently (parsing, validation,
+//! canonical bytes, fingerprint, and what runs), and every request goes
+//! through the same lifecycle:
 //!
 //! ```text
 //! parse + validate ─▶ fingerprint ─▶ cache probe ──hit──▶ cached bytes
@@ -10,27 +13,28 @@
 //!                                        │leader
 //!                                  fair-share admission (slot)
 //!                                        │
-//!                        journaled sweep (resume if a journal exists)
+//!                        journaled run (resume if a journal exists)
 //!                                        │
 //!                        cache insert ─▶ publish ─▶ response bytes
 //! ```
 //!
 //! Every response body for the same canonical request is byte-identical
 //! — computed, replayed from a journal after a crash, or served from the
-//! cache — because the underlying sweep is deterministic at any pool
-//! width and the cache stores the serialised bytes themselves.
+//! cache — because the underlying computation is deterministic at any
+//! pool width and the cache stores the serialised bytes themselves.
 
 use super::admission::Admission;
 use super::cache::{CacheEntry, CacheLookup, ResultCache};
 use super::protocol::{
     header_value, http_request, read_http_request, write_http_response, write_http_stream_head,
-    HttpRequest, OracleRequest, OracleResponse, StreamEvent, SweepRequest, SweepResponse,
+    HttpRequest, OracleRequest, StreamEvent, SweepRequest, SweepResponse,
 };
 use super::single_flight::{FlightRole, LeaderToken, SingleFlight};
 use crate::experiment::{
     canonical_oracle_bytes, canonical_sweep_bytes, oracle_fingerprint,
     run_matrix_journaled_with_progress, run_matrix_regret, run_matrix_regret_journaled,
-    sweep_fingerprint, RepGuard, Scenario, WorkloadKind,
+    run_matrix_with_progress, sweep_fingerprint, JournalStats, RepGuard, Scenario, ScenarioResult,
+    WorkloadKind,
 };
 use crate::policy::PolicyKind;
 use crate::sim::SimConfig;
@@ -40,9 +44,10 @@ use dgsched_grid::{Availability, GridConfig, Heterogeneity};
 use dgsched_obs::{MetricsRegistry, MetricsSnapshot};
 use dgsched_workload::{BotType, Intensity, WorkloadSpec};
 use parking_lot::Mutex;
+use serde::Deserialize;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -304,8 +309,14 @@ fn handle_connection(inner: &Arc<ServerInner>, stream: TcpStream) -> io::Result<
             let _ = TcpStream::connect(inner.local_addr);
             Ok(())
         }
-        ("POST", "/sweep") => handle_sweep(inner, &request, &mut writer),
-        ("POST", "/oracle") => handle_oracle(inner, &request, &mut writer),
+        ("POST", "/sweep") => {
+            ServeMetrics::bump(&inner.metrics.sweep_requests);
+            handle_job(inner, &request, &mut writer, Job::Sweep)
+        }
+        ("POST", "/oracle") => {
+            ServeMetrics::bump(&inner.metrics.oracle_requests);
+            handle_job(inner, &request, &mut writer, Job::Oracle)
+        }
         _ => {
             ServeMetrics::bump(&inner.metrics.bad_requests);
             let (status, body) = json_error(404, "no such endpoint");
@@ -334,6 +345,120 @@ fn validate_scenarios(scenarios: &[Scenario]) -> Result<(), String> {
     Ok(())
 }
 
+/// The progress callback a job reports completed scenarios to.
+type Progress<'a> = dyn Fn(usize, usize, &str) + Sync + 'a;
+
+/// One computation the daemon serves: everything `/sweep` and `/oracle`
+/// do differently. The lifecycle ([`handle_job`], [`run_leader`],
+/// [`run_collision`]) only calls these methods.
+enum Job {
+    /// `POST /sweep`: a scenario matrix under the stopping rule.
+    Sweep(SweepRequest),
+    /// `POST /oracle`: the same plus per-policy hindsight regret.
+    Oracle(OracleRequest),
+}
+
+impl Job {
+    /// Parses and validates a request body as the job `wrap` builds (the
+    /// router picks it); the route names the job in parse errors.
+    fn parse<R: Deserialize>(request: &HttpRequest, wrap: fn(R) -> Job) -> Result<Job, String> {
+        let job = serde_json::from_slice(&request.body)
+            .map(wrap)
+            .map_err(|e| {
+                let route = request.path().trim_start_matches('/');
+                format!("invalid {route} request: {e}")
+            })?;
+        match &job {
+            Job::Sweep(req) => validate_scenarios(&req.scenarios)?,
+            Job::Oracle(req) => {
+                validate_scenarios(&req.scenarios)?;
+                req.oracle.validate()?;
+            }
+        }
+        Ok(job)
+    }
+
+    /// Noun used in failure messages.
+    fn kind(&self) -> &'static str {
+        match self {
+            Job::Sweep(_) => "sweep",
+            Job::Oracle(_) => "oracle",
+        }
+    }
+
+    /// Fair-share admission bucket.
+    fn tenant(&self) -> &str {
+        let tenant = match self {
+            Job::Sweep(req) => &req.tenant,
+            Job::Oracle(req) => &req.tenant,
+        };
+        tenant.as_deref().unwrap_or("anonymous")
+    }
+
+    /// Whether the client asked for JSONL progress; `/oracle` has no
+    /// progress events and ignores the request.
+    fn streams(&self, request: &HttpRequest) -> bool {
+        matches!(self, Job::Sweep(_))
+            && (request.query_flag("stream")
+                || header_value(&request.headers, "accept") == Some("application/x-ndjson"))
+    }
+
+    /// The canonical request bytes and the fingerprint the result is
+    /// cached and journaled under (sweep and oracle fingerprints live in
+    /// distinctly tagged key spaces).
+    fn key(&self) -> io::Result<(Vec<u8>, String)> {
+        match self {
+            Job::Sweep(r) => Ok((
+                canonical_sweep_bytes(&r.scenarios, r.base_seed, &r.rule)?,
+                sweep_fingerprint(&r.scenarios, r.base_seed, &r.rule)?,
+            )),
+            Job::Oracle(r) => Ok((
+                canonical_oracle_bytes(&r.scenarios, r.base_seed, &r.rule, &r.oracle)?,
+                oracle_fingerprint(&r.scenarios, r.base_seed, &r.rule, &r.oracle)?,
+            )),
+        }
+    }
+
+    /// Runs the computation journaled at `journal`, resuming the file if
+    /// a crashed instance left one.
+    fn run_journaled(
+        &self,
+        journal: &Path,
+        guard: RepGuard,
+        progress: &Progress<'_>,
+    ) -> io::Result<(Vec<ScenarioResult>, JournalStats)> {
+        let resume = journal.exists();
+        match self {
+            Job::Sweep(r) => run_matrix_journaled_with_progress(
+                &r.scenarios,
+                r.base_seed,
+                &r.rule,
+                journal,
+                resume,
+                guard,
+                progress,
+            )
+            .map(|outcome| (outcome.results, outcome.stats)),
+            Job::Oracle(r) => run_matrix_regret_journaled(
+                &r.scenarios,
+                r.base_seed,
+                &r.rule,
+                &r.oracle,
+                journal,
+                resume,
+            ),
+        }
+    }
+
+    /// Runs the computation without a journal.
+    fn run_plain(&self, progress: &Progress<'_>) -> Vec<ScenarioResult> {
+        match self {
+            Job::Sweep(r) => run_matrix_with_progress(&r.scenarios, r.base_seed, &r.rule, progress),
+            Job::Oracle(r) => run_matrix_regret(&r.scenarios, r.base_seed, &r.rule, &r.oracle),
+        }
+    }
+}
+
 /// How the response body was obtained; sent as the `x-dgsched-cache`
 /// header and on the streamed result line.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -355,10 +480,10 @@ impl CacheDisposition {
     }
 }
 
-/// Writer shared between the response path and the sweep's progress
+/// Writer shared between the response path and the job's progress
 /// callback. Progress writes ignore errors: a client that hung up must
-/// not abort the sweep — the result still lands in the cache.
-struct SweepConnection<'a> {
+/// not abort the computation — the result still lands in the cache.
+struct JobConnection<'a> {
     writer: Mutex<&'a mut BufWriter<TcpStream>>,
     streaming: bool,
     /// Set once the streaming head has been written — after this point
@@ -366,7 +491,7 @@ struct SweepConnection<'a> {
     head_sent: AtomicBool,
 }
 
-impl SweepConnection<'_> {
+impl JobConnection<'_> {
     fn send_stream_head(&self, fingerprint: &str) {
         if !self.streaming || self.head_sent.swap(true, Ordering::SeqCst) {
             return;
@@ -406,11 +531,8 @@ impl SweepConnection<'_> {
         disposition: CacheDisposition,
         entry: &CacheEntry,
     ) -> io::Result<()> {
-        let mut w = self.writer.lock();
         if self.streaming {
-            drop(w);
             self.send_stream_head(fingerprint);
-            let mut w = self.writer.lock();
             let mut line = format!(
                 "{{\"event\":\"result\",\"cache\":\"{}\",\"response\":",
                 disposition.as_str()
@@ -418,11 +540,12 @@ impl SweepConnection<'_> {
             .into_bytes();
             line.extend_from_slice(&entry.response);
             line.extend_from_slice(b"}\n");
+            let mut w = self.writer.lock();
             w.write_all(&line)?;
             w.flush()
         } else {
             write_http_response(
-                &mut **w,
+                &mut **self.writer.lock(),
                 200,
                 "application/json",
                 &[
@@ -451,36 +574,29 @@ impl SweepConnection<'_> {
     }
 }
 
-fn handle_sweep(
+/// `POST /sweep` and `POST /oracle`: parse, fingerprint, cache probe,
+/// single-flight, then the leader or collision path.
+fn handle_job<R: Deserialize>(
     inner: &Arc<ServerInner>,
     request: &HttpRequest,
     writer: &mut BufWriter<TcpStream>,
+    wrap: fn(R) -> Job,
 ) -> io::Result<()> {
-    ServeMetrics::bump(&inner.metrics.sweep_requests);
-    let streaming = request.query_flag("stream")
-        || header_value(&request.headers, "accept") == Some("application/x-ndjson");
-    let conn = SweepConnection {
-        writer: Mutex::new(writer),
-        streaming,
-        head_sent: AtomicBool::new(false),
-    };
-    let req: SweepRequest = match serde_json::from_slice(&request.body) {
-        Ok(r) => r,
-        Err(e) => {
+    let job = match Job::parse(request, wrap) {
+        Ok(job) => job,
+        Err(msg) => {
             ServeMetrics::bump(&inner.metrics.bad_requests);
-            return conn.send_error(400, &format!("invalid sweep request: {e}"));
+            let (status, body) = json_error(400, &msg);
+            return write_http_response(writer, status, "application/json", &[], &body);
         }
     };
-    if let Err(msg) = validate_scenarios(&req.scenarios) {
-        ServeMetrics::bump(&inner.metrics.bad_requests);
-        return conn.send_error(400, &msg);
-    }
-    let canonical = match canonical_sweep_bytes(&req.scenarios, req.base_seed, &req.rule) {
-        Ok(b) => b,
-        Err(e) => return conn.send_error(500, &e.to_string()),
+    let conn = JobConnection {
+        streaming: job.streams(request),
+        writer: Mutex::new(writer),
+        head_sent: AtomicBool::new(false),
     };
-    let fingerprint = match sweep_fingerprint(&req.scenarios, req.base_seed, &req.rule) {
-        Ok(f) => f,
+    let (canonical, fingerprint) = match job.key() {
+        Ok(key) => key,
         Err(e) => return conn.send_error(500, &e.to_string()),
     };
 
@@ -491,7 +607,7 @@ fn handle_sweep(
         }
         CacheLookup::Collision => {
             ServeMetrics::bump(&inner.metrics.cache_collisions);
-            return run_collision(inner, &req, &fingerprint, &conn);
+            return run_collision(inner, &job, &fingerprint, &conn);
         }
         CacheLookup::Miss => {}
     }
@@ -506,28 +622,51 @@ fn handle_sweep(
                 // A fingerprint collision raced the leader; compute this
                 // request's own answer, uncached.
                 ServeMetrics::bump(&inner.metrics.cache_collisions);
-                run_collision(inner, &req, &fingerprint, &conn)
+                run_collision(inner, &job, &fingerprint, &conn)
             }
         }
         FlightRole::Follower(Err(msg)) => {
             ServeMetrics::bump(&inner.metrics.single_flight_waits);
-            conn.send_error(500, &format!("sweep failed: {msg}"))
+            conn.send_error(500, &format!("{} failed: {msg}", job.kind()))
         }
         FlightRole::Leader(token) => {
-            run_leader(inner, &req, &fingerprint, &canonical, token, &conn)
+            run_leader(inner, &job, &fingerprint, &canonical, token, &conn)
         }
     }
 }
 
-/// The leader path: admission, journaled sweep (resuming any journal a
+/// Admission, then `run` at the configured pool width with the
+/// connection's progress callback; the slot is held exactly as long as
+/// the computation runs.
+fn execute<T>(
+    inner: &ServerInner,
+    job: &Job,
+    fingerprint: &str,
+    conn: &JobConnection<'_>,
+    run: impl FnOnce(&Progress<'_>) -> T,
+) -> T {
+    let permit = inner.admission.admit(job.tenant());
+    conn.send_stream_head(fingerprint);
+    ServeMetrics::bump(&inner.metrics.sweeps_executed);
+    let progress = |done: usize, total: usize, name: &str| conn.send_progress(done, total, name);
+    let run = || run(&progress);
+    let outcome = match inner.width {
+        Some(w) => rayon::with_num_threads(w, run),
+        None => run(),
+    };
+    drop(permit);
+    outcome
+}
+
+/// The leader path: admission, journaled run (resuming any journal a
 /// crashed instance left), cache insert, publish.
 fn run_leader(
     inner: &Arc<ServerInner>,
-    req: &SweepRequest,
+    job: &Job,
     fingerprint: &str,
     canonical: &[u8],
     token: LeaderToken,
-    conn: &SweepConnection<'_>,
+    conn: &JobConnection<'_>,
 ) -> io::Result<()> {
     // Double-check the cache under leadership: a previous leader may
     // have inserted between our probe and our join.
@@ -536,227 +675,21 @@ fn run_leader(
         inner.flight.finish(token, Ok(entry.clone()));
         return conn.send_result(fingerprint, CacheDisposition::Hit, &entry);
     }
-    let tenant = req.tenant.as_deref().unwrap_or("anonymous");
-    let permit = inner.admission.admit(tenant);
-    conn.send_stream_head(fingerprint);
-    ServeMetrics::bump(&inner.metrics.sweeps_executed);
     let journal_path = inner.cache.journal_path(fingerprint);
-    let resume = journal_path.exists();
-    let guard = inner.guard;
-    let run = || {
-        run_matrix_journaled_with_progress(
-            &req.scenarios,
-            req.base_seed,
-            &req.rule,
-            &journal_path,
-            resume,
-            guard,
-            |done, total, name| conn.send_progress(done, total, name),
-        )
-    };
-    let outcome = match inner.width {
-        Some(w) => rayon::with_num_threads(w, run),
-        None => run(),
-    };
-    drop(permit);
-    match outcome {
-        Ok(outcome) => {
-            inner
-                .metrics
-                .journal_replayed
-                .fetch_add(outcome.stats.records_replayed, Ordering::Relaxed);
-            inner
-                .metrics
-                .journal_resumes
-                .fetch_add(outcome.stats.resumes, Ordering::Relaxed);
-            let response = SweepResponse {
-                fingerprint: fingerprint.to_string(),
-                results: outcome.results,
-            };
-            let bytes = serde_json::to_vec(&response).expect("response serialises");
-            match inner.cache.insert(fingerprint, canonical, bytes) {
-                Ok(entry) => {
-                    inner.flight.finish(token, Ok(entry.clone()));
-                    conn.send_result(fingerprint, CacheDisposition::Miss, &entry)
-                }
-                Err(e) => {
-                    let msg = format!("result computed but cache write failed: {e}");
-                    ServeMetrics::bump(&inner.metrics.sweeps_failed);
-                    inner.flight.finish(token, Err(msg.clone()));
-                    conn.send_error(500, &msg)
-                }
-            }
-        }
-        Err(e) => {
-            ServeMetrics::bump(&inner.metrics.sweeps_failed);
-            let msg = e.to_string();
-            inner.flight.finish(token, Err(msg.clone()));
-            conn.send_error(500, &format!("sweep failed: {msg}"))
-        }
-    }
-}
-
-/// The fingerprint-collision path (2⁻¹²⁸ odds, or a corrupted store):
-/// compute this request's answer under admission, without touching the
-/// stored entry or the journal keyed by the colliding fingerprint.
-fn run_collision(
-    inner: &Arc<ServerInner>,
-    req: &SweepRequest,
-    fingerprint: &str,
-    conn: &SweepConnection<'_>,
-) -> io::Result<()> {
-    let tenant = req.tenant.as_deref().unwrap_or("anonymous");
-    let permit = inner.admission.admit(tenant);
-    conn.send_stream_head(fingerprint);
-    ServeMetrics::bump(&inner.metrics.sweeps_executed);
-    let results = {
-        let run = || {
-            crate::experiment::run_matrix_with_progress(
-                &req.scenarios,
-                req.base_seed,
-                &req.rule,
-                |done, total, name| conn.send_progress(done, total, name),
-            )
-        };
-        match inner.width {
-            Some(w) => rayon::with_num_threads(w, run),
-            None => run(),
-        }
-    };
-    drop(permit);
-    let response = SweepResponse {
-        fingerprint: fingerprint.to_string(),
-        results,
-    };
-    let entry = CacheEntry {
-        request: Vec::new(),
-        response: serde_json::to_vec(&response).expect("response serialises"),
-    };
-    conn.send_result(fingerprint, CacheDisposition::Collision, &entry)
-}
-
-/// `POST /oracle`: the sweep plus per-policy hindsight regret. Shares
-/// the sweep path's machinery — fingerprint-keyed cache entry (in the
-/// tagged oracle key space), single-flight, fair-share admission, pool
-/// width override — and journals completed search restarts under the
-/// fingerprint so a killed daemon resumes the search byte-identically.
-fn handle_oracle(
-    inner: &Arc<ServerInner>,
-    request: &HttpRequest,
-    writer: &mut BufWriter<TcpStream>,
-) -> io::Result<()> {
-    ServeMetrics::bump(&inner.metrics.oracle_requests);
-    let conn = SweepConnection {
-        writer: Mutex::new(writer),
-        streaming: false,
-        head_sent: AtomicBool::new(false),
-    };
-    let req: OracleRequest = match serde_json::from_slice(&request.body) {
-        Ok(r) => r,
-        Err(e) => {
-            ServeMetrics::bump(&inner.metrics.bad_requests);
-            return conn.send_error(400, &format!("invalid oracle request: {e}"));
-        }
-    };
-    if let Err(msg) = validate_scenarios(&req.scenarios) {
-        ServeMetrics::bump(&inner.metrics.bad_requests);
-        return conn.send_error(400, &msg);
-    }
-    if req.oracle.restarts == 0 {
-        ServeMetrics::bump(&inner.metrics.bad_requests);
-        return conn.send_error(400, "oracle.restarts must be non-zero");
-    }
-    let canonical =
-        match canonical_oracle_bytes(&req.scenarios, req.base_seed, &req.rule, &req.oracle) {
-            Ok(b) => b,
-            Err(e) => return conn.send_error(500, &e.to_string()),
-        };
-    let fingerprint =
-        match oracle_fingerprint(&req.scenarios, req.base_seed, &req.rule, &req.oracle) {
-            Ok(f) => f,
-            Err(e) => return conn.send_error(500, &e.to_string()),
-        };
-
-    match inner.cache.lookup(&fingerprint, &canonical) {
-        CacheLookup::Hit(entry) => {
-            ServeMetrics::bump(&inner.metrics.cache_hits);
-            return conn.send_result(&fingerprint, CacheDisposition::Hit, &entry);
-        }
-        CacheLookup::Collision => {
-            ServeMetrics::bump(&inner.metrics.cache_collisions);
-            return run_oracle_collision(inner, &req, &fingerprint, &conn);
-        }
-        CacheLookup::Miss => {}
-    }
-    ServeMetrics::bump(&inner.metrics.cache_misses);
-
-    match inner.flight.join(&fingerprint) {
-        FlightRole::Follower(Ok(entry)) => {
-            ServeMetrics::bump(&inner.metrics.single_flight_waits);
-            if entry.request == canonical {
-                conn.send_result(&fingerprint, CacheDisposition::Wait, &entry)
-            } else {
-                ServeMetrics::bump(&inner.metrics.cache_collisions);
-                run_oracle_collision(inner, &req, &fingerprint, &conn)
-            }
-        }
-        FlightRole::Follower(Err(msg)) => {
-            ServeMetrics::bump(&inner.metrics.single_flight_waits);
-            conn.send_error(500, &format!("oracle failed: {msg}"))
-        }
-        FlightRole::Leader(token) => {
-            run_oracle_leader(inner, &req, &fingerprint, &canonical, token, &conn)
-        }
-    }
-}
-
-/// The `/oracle` leader path: admission, regret matrix with journaled
-/// search restarts (resuming any journal a crashed instance left), cache
-/// insert, publish.
-fn run_oracle_leader(
-    inner: &Arc<ServerInner>,
-    req: &OracleRequest,
-    fingerprint: &str,
-    canonical: &[u8],
-    token: LeaderToken,
-    conn: &SweepConnection<'_>,
-) -> io::Result<()> {
-    if let CacheLookup::Hit(entry) = inner.cache.lookup(fingerprint, canonical) {
-        ServeMetrics::bump(&inner.metrics.cache_hits);
-        inner.flight.finish(token, Ok(entry.clone()));
-        return conn.send_result(fingerprint, CacheDisposition::Hit, &entry);
-    }
-    let tenant = req.tenant.as_deref().unwrap_or("anonymous");
-    let permit = inner.admission.admit(tenant);
-    ServeMetrics::bump(&inner.metrics.sweeps_executed);
-    let journal_path = inner.cache.journal_path(fingerprint);
-    let resume = journal_path.exists();
-    let run = || {
-        run_matrix_regret_journaled(
-            &req.scenarios,
-            req.base_seed,
-            &req.rule,
-            &req.oracle,
-            &journal_path,
-            resume,
-        )
-    };
-    let outcome = match inner.width {
-        Some(w) => rayon::with_num_threads(w, run),
-        None => run(),
-    };
-    drop(permit);
+    let outcome = execute(inner, job, fingerprint, conn, |progress| {
+        job.run_journaled(&journal_path, inner.guard, progress)
+    });
     match outcome {
         Ok((results, stats)) => {
             inner
                 .metrics
                 .journal_replayed
-                .fetch_add(stats.restarts_replayed, Ordering::Relaxed);
+                .fetch_add(stats.records_replayed, Ordering::Relaxed);
             inner
                 .metrics
                 .journal_resumes
                 .fetch_add(stats.resumes, Ordering::Relaxed);
-            let response = OracleResponse {
+            let response = SweepResponse {
                 fingerprint: fingerprint.to_string(),
                 results,
             };
@@ -778,29 +711,24 @@ fn run_oracle_leader(
             ServeMetrics::bump(&inner.metrics.sweeps_failed);
             let msg = e.to_string();
             inner.flight.finish(token, Err(msg.clone()));
-            conn.send_error(500, &format!("oracle failed: {msg}"))
+            conn.send_error(500, &format!("{} failed: {msg}", job.kind()))
         }
     }
 }
 
-/// The `/oracle` fingerprint-collision path: compute this request's
-/// answer under admission, unjournaled and uncached.
-fn run_oracle_collision(
+/// The fingerprint-collision path (2⁻¹²⁸ odds, or a corrupted store):
+/// compute this request's answer under admission, without touching the
+/// stored entry or the journal keyed by the colliding fingerprint.
+fn run_collision(
     inner: &Arc<ServerInner>,
-    req: &OracleRequest,
+    job: &Job,
     fingerprint: &str,
-    conn: &SweepConnection<'_>,
+    conn: &JobConnection<'_>,
 ) -> io::Result<()> {
-    let tenant = req.tenant.as_deref().unwrap_or("anonymous");
-    let permit = inner.admission.admit(tenant);
-    ServeMetrics::bump(&inner.metrics.sweeps_executed);
-    let run = || run_matrix_regret(&req.scenarios, req.base_seed, &req.rule, &req.oracle);
-    let results = match inner.width {
-        Some(w) => rayon::with_num_threads(w, run),
-        None => run(),
-    };
-    drop(permit);
-    let response = OracleResponse {
+    let results = execute(inner, job, fingerprint, conn, |progress| {
+        job.run_plain(progress)
+    });
+    let response = SweepResponse {
         fingerprint: fingerprint.to_string(),
         results,
     };
@@ -991,7 +919,7 @@ mod tests {
             header_value(&first.headers, "x-dgsched-cache"),
             Some("miss")
         );
-        let resp: OracleResponse = serde_json::from_slice(&first.body).unwrap();
+        let resp: SweepResponse = serde_json::from_slice(&first.body).unwrap();
         assert_eq!(resp.results.len(), 2);
         for r in &resp.results {
             let reg = r.regret.as_ref().expect("regret section");
@@ -1009,11 +937,14 @@ mod tests {
         let sres = http_request(&addr, "POST", "/sweep", &[], &sweep_body).unwrap();
         assert_eq!(header_value(&sres.headers, "x-dgsched-cache"), Some("miss"));
         // Bad search knobs are rejected up front.
-        let mut bad = req;
-        bad.oracle.restarts = 0;
-        let bad_body = serde_json::to_vec(&bad).unwrap();
-        let rejected = http_request(&addr, "POST", "/oracle", &[], &bad_body).unwrap();
-        assert_eq!(rejected.status, 400);
+        for (restarts, replications) in [(0, 2), (2, 0)] {
+            let mut bad = req.clone();
+            bad.oracle.restarts = restarts;
+            bad.oracle.replications = replications;
+            let bad_body = serde_json::to_vec(&bad).unwrap();
+            let rejected = http_request(&addr, "POST", "/oracle", &[], &bad_body).unwrap();
+            assert_eq!(rejected.status, 400);
+        }
         handle.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -59,12 +59,16 @@ echo "==> lockcheck gate: lock-order witness on, pool/single-flight/journal batt
 # (b) stay result-passive: the golden-fingerprint test inside
 # tests/lockcheck.rs pins run_matrix bytes to the seed value in BOTH
 # feature configurations, and the determinism batteries re-run with the
-# witness live at widths 1 and 4.
+# witness live at widths 1 and 4. Both journals (replication and oracle
+# restart) share one store whose append takes the error-slot lock, then
+# the writer lock, so both record kinds run under the witness.
 cargo test -q -p parking_lot --features lockcheck
 DGSCHED_THREADS=1 cargo test -q -p dgsched-core --features lockcheck \
-  --lib --test lockcheck --test parallel_determinism --test journal_resume --test serve
+  --lib --test lockcheck --test parallel_determinism --test journal_resume --test serve \
+  --test oracle_regret
 DGSCHED_THREADS=4 cargo test -q -p dgsched-core --features lockcheck \
-  --lib --test lockcheck --test parallel_determinism --test journal_resume --test serve
+  --lib --test lockcheck --test parallel_determinism --test journal_resume --test serve \
+  --test oracle_regret
 
 echo "==> oracle gate: replay exactness + regret battery at widths 1 and 4"
 # The hindsight-oracle contract: trace replay reproduces the live run

@@ -155,17 +155,20 @@ fn oracle_reports_regret_section() {
     assert!(regret["regret"]["mean"].as_f64().unwrap() >= 0.0);
     assert_eq!(regret["replications"], 1);
 
-    // --resume without --journal and a zero-restart search are usage errors.
+    // --resume without --journal, a zero-restart search and a search over
+    // zero replications are usage errors.
     let out = Command::new(bin())
         .args(["oracle", scenario.to_str().unwrap(), "--resume"])
         .output()
         .expect("oracle");
     assert!(!out.status.success());
-    let out = Command::new(bin())
-        .args(["oracle", scenario.to_str().unwrap(), "--restarts", "0"])
-        .output()
-        .expect("oracle");
-    assert!(!out.status.success());
+    for flag in ["--restarts", "--oracle-reps"] {
+        let out = Command::new(bin())
+            .args(["oracle", scenario.to_str().unwrap(), flag, "0"])
+            .output()
+            .expect("oracle");
+        assert_eq!(out.status.code(), Some(2), "{flag} 0");
+    }
 }
 
 #[test]

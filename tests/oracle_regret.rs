@@ -208,7 +208,7 @@ fn resumed_restarts_are_byte_identical_even_across_widths() {
     })
     .unwrap();
     assert_eq!(
-        stats.restarts_written,
+        stats.records_written,
         u64::from(ocfg.restarts) * ocfg.replications
     );
     assert_eq!(json(&full), json(&straight), "journaling is passive");
@@ -223,9 +223,9 @@ fn resumed_restarts_are_byte_identical_even_across_widths() {
     })
     .unwrap();
     assert_eq!(stats.resumes, 1);
-    assert_eq!(stats.restarts_replayed, 3);
+    assert_eq!(stats.records_replayed, 3);
     assert_eq!(
-        stats.restarts_written,
+        stats.records_written,
         u64::from(ocfg.restarts) * ocfg.replications - 3
     );
     assert_eq!(

@@ -8,22 +8,23 @@
 //! 1. **Dedupe**: concurrent identical requests produce byte-identical
 //!    responses from exactly one sweep execution (proven by the
 //!    `serve_sweeps_executed` counter, not by timing).
-//! 2. **Crash recovery**: a daemon SIGKILLed mid-sweep loses at most the
-//!    replication in flight; a restarted daemon answers the re-issued
-//!    request byte-identically to an uninterrupted run, resuming from
-//!    the journal rather than starting over.
+//! 2. **Crash recovery**: a daemon SIGKILLed mid-sweep or mid-search
+//!    loses at most the work in flight; a restarted daemon answers the
+//!    re-issued request byte-identically to an uninterrupted run,
+//!    resuming from the journal rather than starting over.
 //!
 //! Both properties must hold at pool width 1 and width 4 — the
 //! determinism contract says width never changes bytes.
 
-use dgsched_core::experiment::{Scenario, WorkloadKind};
+use dgsched_core::experiment::{OracleConfig, Scenario, WorkloadKind};
 use dgsched_core::policy::PolicyKind;
-use dgsched_core::serve::{http_request, http_request_streaming, SweepRequest};
+use dgsched_core::serve::{http_request, OracleRequest, SweepRequest};
 use dgsched_core::sim::SimConfig;
 use dgsched_des::stats::StoppingRule;
 use dgsched_grid::{Availability, GridConfig, Heterogeneity};
 use dgsched_workload::{BotType, Intensity, WorkloadSpec};
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
@@ -102,11 +103,11 @@ impl Drop for Daemon {
     }
 }
 
-/// A sweep sized to take long enough (a second or two, even in release
-/// builds) that a SIGKILL reliably lands mid-sweep and two concurrent
-/// requests reliably overlap: six scenarios, more than any tested pool
-/// width, so work always remains after the first scenario completes.
-fn slow_request() -> Vec<u8> {
+/// Six scenarios sized to take long enough (a second or two, even in
+/// release builds) that a SIGKILL reliably lands mid-sweep and two
+/// concurrent requests reliably overlap: more scenarios than any tested
+/// pool width, so work always remains after the first scenario completes.
+fn slow_scenarios() -> Vec<Scenario> {
     let scenario = |name: &str, granularity: f64, policy: PolicyKind| Scenario {
         name: name.to_string(),
         grid: GridConfig {
@@ -128,24 +129,99 @@ fn slow_request() -> Vec<u8> {
         policy,
         sim: SimConfig::default(),
     };
+    vec![
+        scenario("it: g=1000 RR", 1_000.0, PolicyKind::Rr),
+        scenario("it: g=1000 Share", 1_000.0, PolicyKind::FcfsShare),
+        scenario("it: g=2000 RR", 2_000.0, PolicyKind::Rr),
+        scenario("it: g=2000 LongIdle", 2_000.0, PolicyKind::LongIdle),
+        scenario("it: g=4000 RR", 4_000.0, PolicyKind::Rr),
+        scenario("it: g=4000 Share", 4_000.0, PolicyKind::FcfsShare),
+    ]
+}
+
+fn slow_rule() -> StoppingRule {
+    StoppingRule {
+        min_replications: 3,
+        max_replications: 3,
+        ..StoppingRule::default()
+    }
+}
+
+/// The slow sweep as a `POST /sweep` body.
+fn slow_request() -> Vec<u8> {
     let request = SweepRequest {
-        scenarios: vec![
-            scenario("it: g=1000 RR", 1_000.0, PolicyKind::Rr),
-            scenario("it: g=1000 Share", 1_000.0, PolicyKind::FcfsShare),
-            scenario("it: g=2000 RR", 2_000.0, PolicyKind::Rr),
-            scenario("it: g=2000 LongIdle", 2_000.0, PolicyKind::LongIdle),
-            scenario("it: g=4000 RR", 4_000.0, PolicyKind::Rr),
-            scenario("it: g=4000 Share", 4_000.0, PolicyKind::FcfsShare),
-        ],
+        scenarios: slow_scenarios(),
         base_seed: 2008,
-        rule: StoppingRule {
-            min_replications: 3,
-            max_replications: 3,
-            ..StoppingRule::default()
+        rule: slow_rule(),
+        tenant: None,
+    };
+    serde_json::to_vec(&request).expect("request serialises")
+}
+
+/// A `POST /oracle` body whose search outlasts its first journaled
+/// restarts: two scenarios sharing one environment, searched over three
+/// replications, so a SIGKILL after the first replication's restart
+/// records still lands mid-search.
+fn slow_oracle_request() -> Vec<u8> {
+    let request = OracleRequest {
+        scenarios: slow_scenarios().into_iter().take(2).collect(),
+        base_seed: 2008,
+        rule: slow_rule(),
+        oracle: OracleConfig {
+            restarts: 2,
+            iters: 30,
+            seed: 1,
+            replications: 3,
         },
         tenant: None,
     };
     serde_json::to_vec(&request).expect("request serialises")
+}
+
+/// POSTs `body` to `target` and returns the response's status line and
+/// its first body line as soon as they arrive, leaving the rest of a
+/// streamed response unread.
+fn first_streamed_line(addr: &str, target: &str, body: &[u8]) -> (String, String) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    write!(
+        stream,
+        "POST {target} HTTP/1.1\r\nhost: localhost\r\ncontent-length: {}\r\n\
+         connection: close\r\n\r\n",
+        body.len()
+    )
+    .and_then(|()| stream.write_all(body))
+    .expect("send request");
+    let mut reader = BufReader::new(stream);
+    let mut status = String::new();
+    reader.read_line(&mut status).expect("status line");
+    let mut line = String::new();
+    loop {
+        line.clear();
+        reader.read_line(&mut line).expect("response head");
+        if line.trim_end().is_empty() {
+            break;
+        }
+    }
+    line.clear();
+    reader.read_line(&mut line).expect("first body line");
+    (status, line)
+}
+
+/// True once a journal in `dir` holds its header and at least one
+/// completed record.
+fn journal_has_a_record(dir: &Path) -> bool {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return false;
+    };
+    entries.flatten().any(|entry| {
+        entry
+            .file_name()
+            .to_string_lossy()
+            .ends_with(".journal.jsonl")
+            && std::fs::read(entry.path())
+                .map(|data| data.iter().filter(|&&b| b == b'\n').count() >= 2)
+                .unwrap_or(false)
+    })
 }
 
 /// Two concurrent identical requests: byte-identical responses, exactly
@@ -209,46 +285,65 @@ fn concurrent_identical_requests_dedupe_width_4() {
     concurrent_identical_requests_dedupe_at("4");
 }
 
-/// SIGKILL the daemon mid-sweep; a restarted daemon on the same cache
-/// directory must answer the re-issued request byte-identically to an
-/// uninterrupted daemon's answer, resuming from the journal (proven by
-/// the replay counters) instead of recomputing from scratch.
-fn kill_resume_is_byte_identical_at(width: &str) {
-    let body = slow_request();
+/// SIGKILL the daemon mid-computation; a restarted daemon on the same
+/// cache directory must answer the re-issued request to `endpoint`
+/// (`/sweep` or `/oracle`) byte-identically to an uninterrupted daemon's
+/// answer, resuming from the journal (proven by the replay counters)
+/// instead of recomputing from scratch.
+fn kill_resume_is_byte_identical_at(width: &str, endpoint: &str) {
+    let body = match endpoint {
+        "/sweep" => slow_request(),
+        _ => slow_oracle_request(),
+    };
 
     // Reference: an uninterrupted daemon computes the canonical bytes.
-    let ref_dir = tmp_dir(&format!("killref-w{width}"));
+    let ref_dir = tmp_dir(&format!("killref-w{width}{}", endpoint.replace('/', "-")));
     let reference = Daemon::start(&ref_dir, width);
     let expected =
-        http_request(&reference.addr, "POST", "/sweep", &[], &body).expect("reference request");
+        http_request(&reference.addr, "POST", endpoint, &[], &body).expect("reference request");
     assert_eq!(expected.status, 200);
     reference.kill();
     std::fs::remove_dir_all(&ref_dir).ok();
 
-    // Victim: start the same sweep in streaming mode and SIGKILL the
-    // daemon after the first progress event — at least one scenario is
-    // journaled, at least one is still in flight (6 scenarios > width).
-    let dir = tmp_dir(&format!("kill-w{width}"));
+    let dir = tmp_dir(&format!("kill-w{width}{}", endpoint.replace('/', "-")));
     let victim = Daemon::start(&dir, width);
-    let (status, _headers, mut stream) =
-        http_request_streaming(&victim.addr, "POST", "/sweep?stream=1", &[], &body)
-            .expect("streaming request");
-    assert_eq!(status, 200);
-    let mut line = String::new();
-    stream.read_line(&mut line).expect("first progress event");
-    let event: serde_json::Value = serde_json::from_str(&line).expect("progress JSON");
-    assert_eq!(event["event"], "progress", "unexpected first event: {line}");
-    victim.kill();
+    if endpoint == "/sweep" {
+        // Start the sweep in streaming mode and SIGKILL the daemon after
+        // the first progress event — at least one scenario is journaled,
+        // at least one is still in flight (6 scenarios > width).
+        let (status, line) = first_streamed_line(&victim.addr, "/sweep?stream=1", &body);
+        assert!(status.starts_with("HTTP/1.1 200 "), "status line: {status}");
+        let event: serde_json::Value = serde_json::from_str(&line).expect("progress JSON");
+        assert_eq!(event["event"], "progress", "unexpected first event: {line}");
+        victim.kill();
+    } else {
+        // `/oracle` has no progress events: SIGKILL the daemon as soon as
+        // its journal holds a completed restart, with the search still in
+        // flight.
+        let client = {
+            let (addr, body) = (victim.addr.clone(), body.clone());
+            std::thread::spawn(move || http_request(&addr, "POST", "/oracle", &[], &body))
+        };
+        while !journal_has_a_record(&dir) {
+            assert!(
+                !client.is_finished(),
+                "request finished before its journal grew"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        victim.kill();
+        let _ = client.join();
+    }
 
     // Restart on the same state directory: the journal survived, the
     // response never completed.
     let restarted = Daemon::start(&dir, width);
     assert!(
         restarted.counter("serve_pending_journals") >= 1,
-        "the killed sweep's journal must be visible at startup"
+        "the killed computation's journal must be visible at startup"
     );
     let resumed =
-        http_request(&restarted.addr, "POST", "/sweep", &[], &body).expect("re-issued request");
+        http_request(&restarted.addr, "POST", endpoint, &[], &body).expect("re-issued request");
     assert_eq!(resumed.status, 200);
     assert_eq!(
         resumed.body, expected.body,
@@ -256,7 +351,7 @@ fn kill_resume_is_byte_identical_at(width: &str) {
     );
     assert!(
         restarted.counter("serve_journal_replayed") >= 1,
-        "the resumed sweep must replay journaled replications"
+        "the resumed computation must replay journaled records"
     );
     assert!(
         restarted.counter("serve_journal_resumes") >= 1,
@@ -268,12 +363,14 @@ fn kill_resume_is_byte_identical_at(width: &str) {
 
 #[test]
 fn kill_resume_is_byte_identical_width_1() {
-    kill_resume_is_byte_identical_at("1");
+    kill_resume_is_byte_identical_at("1", "/sweep");
+    kill_resume_is_byte_identical_at("1", "/oracle");
 }
 
 #[test]
 fn kill_resume_is_byte_identical_width_4() {
-    kill_resume_is_byte_identical_at("4");
+    kill_resume_is_byte_identical_at("4", "/sweep");
+    kill_resume_is_byte_identical_at("4", "/oracle");
 }
 
 /// The `--check` self-test exits 0 and reports the byte-identical hit;
