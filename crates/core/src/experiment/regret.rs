@@ -32,6 +32,23 @@
 //!   work-stealing pool; results fold deterministically, so the oracle is
 //!   byte-identical at any pool width.
 //!
+//! ## Incremental evaluation
+//!
+//! Each restart evaluates its proposals through a [`ReplaySession`],
+//! which returns bit for bit the [`RunResult`] a fresh
+//! [`simulate_replayed`] of the proposal would, with less work. A
+//! fixed-priority policy acts on a run only through the bag each
+//! `select` call returns, so two schedules share their run up to the
+//! first call they answer differently. The session logs the current
+//! schedule's rank-dependent calls (dispatchable set, chosen bag): a
+//! proposal that answers all of them alike has the current run and its
+//! cost, with no replay; any other resumes from the last checkpoint of
+//! the current run before its first changed call. The kernel tells the
+//! session which proposals the walk moves to through
+//! [`Evaluator::accept`]. The search therefore visits exactly the
+//! permutations and costs a full replay per proposal would, and
+//! `evaluations` still counts every proposal.
+//!
 //! Scenarios sharing `(grid, workload, sim)` share their environment —
 //! the oracle is computed once per environment group and attached to
 //! every policy's [`ScenarioResult`] in the group.
@@ -50,11 +67,12 @@
 use super::journal::{digest128_hex, oracle_fingerprint, JournalLine, JournalStats, JournalStore};
 use super::runner::{replication_inputs, reportable_ci, run_replication_traced, ScenarioResult};
 use super::scenario::Scenario;
-use crate::policy::{BagSelection, PolicyKind, View};
-use crate::sim::{simulate_replayed, RunResult, TraceEnv};
+use crate::policy::PolicyKind;
+#[cfg(doc)]
+use crate::sim::FixedPriority;
+use crate::sim::{simulate_replayed, ReplaySession, RunResult, TraceEnv};
 use dgsched_des::stats::{ConfidenceInterval, StoppingRule, Welford};
-use dgsched_oracle::{fold, run_restart, RestartOutcome, SearchConfig, SplitMix64};
-use dgsched_workload::BotId;
+use dgsched_oracle::{fold, run_restart, Evaluator, RestartOutcome, SearchConfig, SplitMix64};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -67,7 +85,8 @@ pub struct OracleConfig {
     /// Independent search restarts per replication.
     #[serde(default = "default_restarts")]
     pub restarts: u32,
-    /// Move proposals per restart (each proposal is one trace replay).
+    /// Move proposals per restart (each proposal is one evaluated
+    /// schedule).
     #[serde(default = "default_iters")]
     pub iters: u32,
     /// Seed of the search streams (independent of the simulation seeds).
@@ -131,7 +150,8 @@ pub struct RegretSection {
     /// Replications that contributed a regret observation (the policy's
     /// replay completed; saturated replications carry no turnaround).
     pub measured_replications: u64,
-    /// Trace replays the search spent, across restarts and replications.
+    /// Proposals the search evaluated, across restarts and replications
+    /// (including each restart's start point and kicks).
     pub search_evaluations: u64,
     /// Search restarts per replication.
     pub restarts: u32,
@@ -139,42 +159,6 @@ pub struct RegretSection {
     pub iters: u32,
     /// Search seed.
     pub seed: u64,
-}
-
-/// Serve-order priorities frozen at construction: the bag at rank 0 is
-/// always preferred when dispatchable, then rank 1, … — the oracle's
-/// candidate schedule shape. Knowledge-free policies react to the run;
-/// the hindsight search instead *picks the reaction sequence up front*,
-/// which is exactly what makes it an offline optimizer.
-struct FixedPriority {
-    /// `rank[bag] = position` — lower serves first.
-    rank: Vec<u32>,
-}
-
-impl FixedPriority {
-    /// From a search permutation: `perm[pos] = bag` served at priority
-    /// `pos`.
-    fn from_perm(perm: &[u32]) -> Self {
-        let mut rank = vec![u32::MAX; perm.len()];
-        for (pos, &bag) in perm.iter().enumerate() {
-            rank[bag as usize] = pos as u32;
-        }
-        FixedPriority { rank }
-    }
-}
-
-impl BagSelection for FixedPriority {
-    fn name(&self) -> &'static str {
-        "Oracle-Fixed"
-    }
-
-    fn select(&mut self, view: &View<'_>) -> Option<BotId> {
-        view.active()
-            .iter()
-            .copied()
-            .filter(|&b| view.dispatchable(b))
-            .min_by_key(|b| self.rank.get(b.index()).copied().unwrap_or(u32::MAX))
-    }
 }
 
 /// Penalty base dwarfing any realizable turnaround, so every infeasible
@@ -191,6 +175,20 @@ fn penalized_cost(r: &RunResult) -> f64 {
         PENALTY_BASE * (1.0 + incomplete as f64) + r.end_time
     } else {
         r.mean_turnaround()
+    }
+}
+
+/// The search's objective over a replay session: [`penalized_cost`] of
+/// each proposal's run.
+struct Search<'a>(ReplaySession<'a>);
+
+impl Evaluator for Search<'_> {
+    fn cost(&mut self, perm: &[u32]) -> f64 {
+        penalized_cost(self.0.evaluate(perm))
+    }
+
+    fn accept(&mut self) {
+        self.0.accept();
     }
 }
 
@@ -264,10 +262,6 @@ fn oracle_replication_inner(
         seed: rep_search_seed(ocfg.seed, rep),
         stall_kick: 24,
     };
-    let cost = |perm: &[u32]| {
-        let policy = Box::new(FixedPriority::from_perm(perm));
-        penalized_cost(&simulate_replayed(&grid, &workload, policy, &cfg, &env))
-    };
     // Restarts are the resumable unit: replay journaled ones, compute the
     // rest on the pool, journal fresh outcomes in restart order, fold.
     let outcomes: Vec<(RestartOutcome, bool)> = (0..scfg.restarts)
@@ -278,7 +272,8 @@ fn oracle_replication_inner(
                     return (done.clone(), true);
                 }
             }
-            (run_restart(workload.len(), r, &scfg, &cost), false)
+            let search = Search(ReplaySession::new(&grid, &workload, &cfg, &env));
+            (run_restart(workload.len(), r, &scfg, search), false)
         })
         .collect();
     if let Some((j, env_key)) = journal {
@@ -540,13 +535,6 @@ mod tests {
             seed: 5,
             replications: 2,
         }
-    }
-
-    #[test]
-    fn fixed_priority_serves_lowest_rank_first() {
-        // perm [2,0,1]: bag 2 has rank 0, bag 0 rank 1, bag 1 rank 2.
-        let fp = FixedPriority::from_perm(&[2, 0, 1]);
-        assert_eq!(fp.rank, vec![1, 2, 0]);
     }
 
     #[test]

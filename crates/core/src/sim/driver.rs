@@ -28,6 +28,7 @@ use serde::{Deserialize, Serialize};
 
 /// Everything a run needs besides the policy (split so the policy can
 /// borrow a read-only view while the driver stays mutable).
+#[derive(Clone)]
 pub(super) struct SimState {
     pub(super) machines: Machines,
     pub(super) bags: Vec<BagRt>,
@@ -62,10 +63,9 @@ pub(super) struct SimState {
 
 pub(super) struct Driver<'a> {
     pub(super) state: SimState,
-    pub(super) policy: Box<dyn BagSelection>,
+    pub(super) policy: &'a mut dyn BagSelection,
     pub(super) workload: &'a Workload,
     pub(super) cfg: SimConfig,
-    pub(super) saturated: bool,
     pub(super) observer: &'a mut dyn SimObserver,
     /// Full-scan mode: selection bypasses the incremental indices (the
     /// indices are still maintained, just not consulted). Used to validate
@@ -261,15 +261,7 @@ pub fn simulate_replayed_observed(
     env: &TraceEnv,
     observer: &mut dyn SimObserver,
 ) -> RunResult {
-    assert_eq!(
-        env.machines(),
-        grid.len(),
-        "trace environment does not match the grid"
-    );
-    assert!(
-        !cfg.lazy_availability,
-        "trace replay requires eager availability (lazy traces reorder fault records)"
-    );
+    check_replay(grid, cfg, env);
     run_reported(grid, workload, policy, cfg, observer, false, Some(env)).0
 }
 
@@ -287,12 +279,46 @@ fn run(
 fn run_reported(
     grid: &Grid,
     workload: &Workload,
-    policy: Box<dyn BagSelection>,
+    mut policy: Box<dyn BagSelection>,
     cfg: &SimConfig,
     observer: &mut dyn SimObserver,
     reference: bool,
     replay: Option<&TraceEnv>,
 ) -> (RunResult, SimReport) {
+    let (state, mut engine) = initial_state(grid, workload, cfg, replay.is_some());
+    let mut driver = Driver::new(
+        state,
+        &mut *policy,
+        workload,
+        cfg,
+        observer,
+        replay.map(ReplayState::new),
+    );
+    driver.reference = reference;
+    // Lazy availability needs a failure process to elide, and is off under
+    // the two knobs that consume failure observations the moment they
+    // happen (their observation order is exactly what laziness reorders).
+    // Replay is eager by construction: every recorded transition is a real
+    // event, so the replayed run must materialise them eagerly too.
+    driver.lazy = cfg.lazy_availability
+        && driver.state.avail.is_some()
+        && replay.is_none()
+        && cfg.machine_order != MachineOrder::FewestFailuresFirst
+        && cfg.dynamic_replication.is_none();
+    driver.prime(&mut engine);
+    let outcome = engine.run(&mut driver);
+    driver.finish(&engine, outcome)
+}
+
+/// Checks the run inputs and builds the state a run starts from, with
+/// the engine's horizon and event budget set and nothing scheduled yet.
+/// A `replay` run needs a finite horizon, so sentinel events never fire.
+pub(super) fn initial_state(
+    grid: &Grid,
+    workload: &Workload,
+    cfg: &SimConfig,
+    replay: bool,
+) -> (SimState, Engine<Event>) {
     assert!(!grid.is_empty(), "cannot schedule on an empty grid");
     assert!(!workload.is_empty(), "cannot simulate an empty workload");
     workload.validate().expect("invalid workload");
@@ -302,8 +328,6 @@ fn run_reported(
     );
 
     let seeder = StreamSeeder::new(cfg.seed);
-    let avail = grid.config.availability.sampler();
-    let ckpt = grid.config.checkpoint.sampler();
     let tau = grid
         .config
         .checkpoint
@@ -339,161 +363,191 @@ fn run_reported(
     engine.set_event_limit(cfg.event_limit);
     let horizon = cfg.horizon.unwrap_or_else(|| auto_horizon(grid, workload));
     engine.set_horizon(SimTime::new(horizon));
-
-    let mut prof = Profiler::new();
-    let span_round = prof.span("scheduler_round");
-    let span_dispatch = prof.span("dispatch");
-
-    // Lazy availability needs a failure process to elide, and is off under
-    // the two knobs that consume failure observations the moment they
-    // happen (their observation order is exactly what laziness reorders).
-    // Replay is eager by construction: every recorded transition is a real
-    // event, so the replayed run must materialise them eagerly too.
-    let lazy = cfg.lazy_availability
-        && avail.is_some()
-        && replay.is_none()
-        && cfg.machine_order != MachineOrder::FewestFailuresFirst
-        && cfg.dynamic_replication.is_none();
-    if replay.is_some() {
+    if replay {
         assert!(
             horizon.is_finite(),
             "trace replay needs a finite horizon so sentinel events never fire"
         );
     }
 
-    let mut driver = Driver {
-        state: SimState {
-            machines,
-            bags: Vec::with_capacity(workload.len()),
-            active: Vec::new(),
-            slab: ReplicaSlab::new(),
-            store: CheckpointStore::new(),
-            free,
-            task_replicas: TaskReplicaIndex::default(),
-            sibling_scratch: Vec::new(),
-            next_ckpt_base: 0,
-            tau,
-            ckpt,
-            avail,
-            outage: grid.config.outages.map(|o| o.sampler()),
-            outage_rng: seeder.stream("outages", 0),
-            completed_bags: 0,
-            counters: Counters::default(),
-            measured: Vec::new(),
-            power_prefix,
-        },
-        policy,
-        workload,
-        cfg: *cfg,
-        saturated: false,
-        observer,
-        reference,
-        lazy,
-        replay: replay.map(ReplayState::new),
-        prof,
-        span_round,
-        span_dispatch,
+    let state = SimState {
+        machines,
+        bags: Vec::with_capacity(workload.len()),
+        active: Vec::new(),
+        slab: ReplicaSlab::new(),
+        store: CheckpointStore::new(),
+        free,
+        task_replicas: TaskReplicaIndex::default(),
+        sibling_scratch: Vec::new(),
+        next_ckpt_base: 0,
+        tau,
+        ckpt: grid.config.checkpoint.sampler(),
+        avail: grid.config.availability.sampler(),
+        outage: grid.config.outages.map(|o| o.sampler()),
+        outage_rng: seeder.stream("outages", 0),
+        completed_bags: 0,
+        counters: Counters::default(),
+        measured: Vec::new(),
+        power_prefix,
     };
+    (state, engine)
+}
 
-    // Prime arrivals and, on failing grids, every machine's first failure.
-    for bag in &workload.bags {
-        engine.prime(bag.arrival, Event::BagArrival(bag.id.0));
-    }
-    if let Some(rp) = driver.replay.as_ref() {
-        // Replay: the same priming structure as the eager branch below —
-        // one pending failure per machine, one outage — but at recorded
-        // instants (sentinels when the trace holds none), so event-id
-        // allocation matches the live run exactly.
-        if driver.state.avail.is_some() {
-            for i in 0..driver.state.machines.len() {
-                let at = rp.next_personal_fail(i);
-                driver.state.machines.hot[i].next_transition =
-                    engine.prime(at, Event::MachineFail(MachineId(i as u32)));
-            }
-        }
-        if driver.state.outage.is_some() {
-            engine.prime(rp.next_outage(), Event::Outage);
-        }
-    } else if let Some(avail) = driver.state.avail {
-        if driver.lazy {
-            // No events yet: record each machine's first up-window end and
-            // reconstruct from there on demand. Same draws, same order, as
-            // the eager priming below — trajectories are identical.
-            for i in 0..driver.state.machines.len() {
-                driver.state.machines.hot[i].cycle_end =
-                    avail.next_up(&mut driver.state.machines.avail_rng[i]);
-            }
-        } else {
-            for i in 0..driver.state.machines.len() {
-                let up = avail.next_up(&mut driver.state.machines.avail_rng[i]);
-                driver.state.machines.hot[i].next_transition =
-                    engine.prime(SimTime::new(up), Event::MachineFail(MachineId(i as u32)));
-            }
-        }
-    }
-    if driver.replay.is_none() {
-        if let Some(outage) = driver.state.outage {
-            let gap = outage.next_gap(&mut driver.state.outage_rng);
-            engine.prime(SimTime::new(gap), Event::Outage);
+/// Checks that `env` can drive a replay of `grid` under `cfg`.
+///
+/// # Panics
+/// Panics when `env` was extracted for a different machine count or
+/// when `cfg` requests lazy availability.
+pub(super) fn check_replay(grid: &Grid, cfg: &SimConfig, env: &TraceEnv) {
+    assert_eq!(
+        env.machines(),
+        grid.len(),
+        "trace environment does not match the grid"
+    );
+    assert!(
+        !cfg.lazy_availability,
+        "trace replay requires eager availability (lazy traces reorder fault records)"
+    );
+}
+
+impl<'a> Driver<'a> {
+    /// A driver over `state` in the default (indexed, eager) mode,
+    /// replaying `replay` when given.
+    pub(super) fn new(
+        state: SimState,
+        policy: &'a mut dyn BagSelection,
+        workload: &'a Workload,
+        cfg: &SimConfig,
+        observer: &'a mut dyn SimObserver,
+        replay: Option<ReplayState<'a>>,
+    ) -> Self {
+        let mut prof = Profiler::new();
+        let span_round = prof.span("scheduler_round");
+        let span_dispatch = prof.span("dispatch");
+        Driver {
+            state,
+            policy,
+            workload,
+            cfg: *cfg,
+            observer,
+            reference: false,
+            lazy: false,
+            replay,
+            prof,
+            span_round,
+            span_dispatch,
         }
     }
 
-    let outcome = engine.run(&mut driver);
-    driver.saturated =
-        !matches!(outcome, RunOutcome::Stopped) || driver.state.completed_bags < workload.len();
-
-    // Lazy mode: settle every idle machine's elided failures up to the end
-    // of the run so the reported failure counts match the eager ones.
-    // Machines with a materialised transition (busy, or known-down) advance
-    // through events and must not be double-walked.
-    if driver.lazy {
-        if let Some(avail) = driver.state.avail {
-            let t = engine.now().as_secs();
-            let ms = &mut driver.state.machines;
-            let mut settled = 0;
-            for i in 0..ms.len() {
-                if ms.hot[i].next_transition == EventId::NONE {
-                    let (rng, h) = (&mut ms.avail_rng[i], &mut ms.hot[i]);
-                    let f = avail.fast_forward(rng, &mut h.up, &mut h.cycle_end, t);
-                    ms.failures[i] += f;
-                    settled += f;
+    /// Schedules the run's first events into a fresh `engine`: every bag
+    /// arrival, and on failing grids every machine's first failure and the
+    /// first outage.
+    pub(super) fn prime(&mut self, engine: &mut Engine<Event>) {
+        for bag in &self.workload.bags {
+            engine.prime(bag.arrival, Event::BagArrival(bag.id.0));
+        }
+        if let Some(rp) = self.replay.as_ref() {
+            // Replay: the same priming structure as the eager branch below —
+            // one pending failure per machine, one outage — but at recorded
+            // instants (sentinels when the trace holds none), so event-id
+            // allocation matches the live run exactly.
+            if self.state.avail.is_some() {
+                for i in 0..self.state.machines.len() {
+                    let at = rp.next_personal_fail(i);
+                    self.state.machines.hot[i].next_transition =
+                        engine.prime(at, Event::MachineFail(MachineId(i as u32)));
                 }
             }
-            driver.state.counters.machine_failures += settled;
+            if self.state.outage.is_some() {
+                engine.prime(rp.next_outage(), Event::Outage);
+            }
+        } else if let Some(avail) = self.state.avail {
+            if self.lazy {
+                // No events yet: record each machine's first up-window end and
+                // reconstruct from there on demand. Same draws, same order, as
+                // the eager priming below — trajectories are identical.
+                for i in 0..self.state.machines.len() {
+                    self.state.machines.hot[i].cycle_end =
+                        avail.next_up(&mut self.state.machines.avail_rng[i]);
+                }
+            } else {
+                for i in 0..self.state.machines.len() {
+                    let up = avail.next_up(&mut self.state.machines.avail_rng[i]);
+                    self.state.machines.hot[i].next_transition =
+                        engine.prime(SimTime::new(up), Event::MachineFail(MachineId(i as u32)));
+                }
+            }
+        }
+        if self.replay.is_none() {
+            if let Some(outage) = self.state.outage {
+                let gap = outage.next_gap(&mut self.state.outage_rng);
+                engine.prime(SimTime::new(gap), Event::Outage);
+            }
         }
     }
 
-    let policy_name = driver.policy.name().to_string();
-    let ms = &driver.state.machines;
-    let machines = (0..ms.len())
-        .map(|i| MachineStats {
-            machine: i as u32,
-            power: ms.hot[i].power,
-            busy_time: ms.hot[i].busy_time,
-            failures: ms.failures[i],
-        })
-        .collect();
-    driver.prof.absorb("event_queue_pop", engine.pop_span());
-    let spans = if driver.prof.is_empty() {
-        Vec::new()
-    } else {
-        driver.prof.stats()
-    };
-    let result = RunResult {
-        policy: policy_name,
-        bags: driver.state.measured,
-        machines,
-        completed: driver.state.completed_bags,
-        total: workload.len(),
-        saturated: driver.saturated,
-        end_time: engine.now().as_secs(),
-        events: engine.processed(),
-        counters: driver.state.counters,
-    };
-    let report = SimReport {
-        metrics: MetricsSnapshot::default(),
-        queue: engine.queue_ops(),
-        spans,
-    };
-    (result, report)
+    /// Closes the run that `engine` ended with `outcome` and reports it.
+    pub(super) fn finish(
+        mut self,
+        engine: &Engine<Event>,
+        outcome: RunOutcome,
+    ) -> (RunResult, SimReport) {
+        let workload = self.workload;
+        let saturated =
+            !matches!(outcome, RunOutcome::Stopped) || self.state.completed_bags < workload.len();
+        // Lazy mode: settle every idle machine's elided failures up to the end
+        // of the run so the reported failure counts match the eager ones.
+        // Machines with a materialised transition (busy, or known-down) advance
+        // through events and must not be double-walked.
+        if self.lazy {
+            if let Some(avail) = self.state.avail {
+                let t = engine.now().as_secs();
+                let ms = &mut self.state.machines;
+                let mut settled = 0;
+                for i in 0..ms.len() {
+                    if ms.hot[i].next_transition == EventId::NONE {
+                        let (rng, h) = (&mut ms.avail_rng[i], &mut ms.hot[i]);
+                        let f = avail.fast_forward(rng, &mut h.up, &mut h.cycle_end, t);
+                        ms.failures[i] += f;
+                        settled += f;
+                    }
+                }
+                self.state.counters.machine_failures += settled;
+            }
+        }
+
+        let policy_name = self.policy.name().to_string();
+        let ms = &self.state.machines;
+        let machines = (0..ms.len())
+            .map(|i| MachineStats {
+                machine: i as u32,
+                power: ms.hot[i].power,
+                busy_time: ms.hot[i].busy_time,
+                failures: ms.failures[i],
+            })
+            .collect();
+        self.prof.absorb("event_queue_pop", engine.pop_span());
+        let spans = if self.prof.is_empty() {
+            Vec::new()
+        } else {
+            self.prof.stats()
+        };
+        let result = RunResult {
+            policy: policy_name,
+            bags: self.state.measured,
+            machines,
+            completed: self.state.completed_bags,
+            total: workload.len(),
+            saturated,
+            end_time: engine.now().as_secs(),
+            events: engine.processed(),
+            counters: self.state.counters,
+        };
+        let report = SimReport {
+            metrics: MetricsSnapshot::default(),
+            queue: engine.queue_ops(),
+            spans,
+        };
+        (result, report)
+    }
 }

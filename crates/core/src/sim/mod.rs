@@ -49,6 +49,7 @@ mod lifecycle;
 mod metrics;
 mod observer;
 mod replay;
+mod session;
 
 #[cfg(test)]
 mod tests;
@@ -64,3 +65,4 @@ pub use gantt::Gantt;
 pub use metrics::{BagMetrics, Counters, MachineStats, MetricsObserver, RunResult};
 pub use observer::{Fanout, NullObserver, SimObserver, TraceEvent, TraceRecorder, TraceRing};
 pub use replay::TraceEnv;
+pub use session::{FixedPriority, ReplaySession, SessionStats};

@@ -132,28 +132,42 @@ impl TraceEnv {
 /// live run one-for-one.
 pub(super) struct ReplayState<'a> {
     env: &'a TraceEnv,
-    pfail_cur: Vec<usize>,
-    okill_cur: Vec<usize>,
-    repair_cur: Vec<usize>,
-    outage_cur: usize,
+    pub(super) cur: Cursors,
+}
+
+/// How far a replay has consumed each timeline: the part of
+/// [`ReplayState`] that changes as the run advances, split off so a
+/// checkpoint of the run can hold it without borrowing the timeline.
+#[derive(Debug, Clone)]
+pub(super) struct Cursors {
+    pfail: Vec<usize>,
+    okill: Vec<usize>,
+    repair: Vec<usize>,
+    outage: usize,
 }
 
 const SENTINEL: SimTime = SimTime::FAR_FUTURE;
 
 impl<'a> ReplayState<'a> {
     pub(super) fn new(env: &'a TraceEnv) -> Self {
-        ReplayState {
-            env,
-            pfail_cur: vec![0; env.machines],
-            okill_cur: vec![0; env.machines],
-            repair_cur: vec![0; env.machines],
-            outage_cur: 0,
-        }
+        let cur = Cursors {
+            pfail: vec![0; env.machines],
+            okill: vec![0; env.machines],
+            repair: vec![0; env.machines],
+            outage: 0,
+        };
+        ReplayState::resume(env, cur)
+    }
+
+    /// Continues a replay of `env` from cursors taken out of an earlier
+    /// one.
+    pub(super) fn resume(env: &'a TraceEnv, cur: Cursors) -> Self {
+        ReplayState { env, cur }
     }
 
     /// The machine's next unconsumed personal failure, or the sentinel.
     pub(super) fn next_personal_fail(&self, i: usize) -> SimTime {
-        match self.env.personal_fails[i].get(self.pfail_cur[i]) {
+        match self.env.personal_fails[i].get(self.cur.pfail[i]) {
             Some(&t) => SimTime::new(t),
             None => SENTINEL,
         }
@@ -162,19 +176,19 @@ impl<'a> ReplayState<'a> {
     /// Consumes the personal failure firing now.
     pub(super) fn consume_personal_fail(&mut self, i: usize, now: f64) {
         let t = self.env.personal_fails[i]
-            .get(self.pfail_cur[i])
+            .get(self.cur.pfail[i])
             .copied()
             .unwrap_or(f64::INFINITY);
         assert!(
             t == now,
             "replay diverged: machine {i} fails at t={now} but the trace says t={t}"
         );
-        self.pfail_cur[i] += 1;
+        self.cur.pfail[i] += 1;
     }
 
     /// The machine's next unconsumed repair, or the sentinel.
     pub(super) fn next_repair(&self, i: usize) -> SimTime {
-        match self.env.repairs[i].get(self.repair_cur[i]) {
+        match self.env.repairs[i].get(self.cur.repair[i]) {
             Some(&t) => SimTime::new(t),
             None => SENTINEL,
         }
@@ -183,19 +197,19 @@ impl<'a> ReplayState<'a> {
     /// Consumes the repair firing now.
     pub(super) fn consume_repair(&mut self, i: usize, now: f64) {
         let t = self.env.repairs[i]
-            .get(self.repair_cur[i])
+            .get(self.cur.repair[i])
             .copied()
             .unwrap_or(f64::INFINITY);
         assert!(
             t == now,
             "replay diverged: machine {i} repairs at t={now} but the trace says t={t}"
         );
-        self.repair_cur[i] += 1;
+        self.cur.repair[i] += 1;
     }
 
     /// The next unconsumed outage instant, or the sentinel.
     pub(super) fn next_outage(&self) -> SimTime {
-        match self.env.outages.get(self.outage_cur) {
+        match self.env.outages.get(self.cur.outage) {
             Some(&(t, _)) => SimTime::new(t),
             None => SENTINEL,
         }
@@ -206,14 +220,14 @@ impl<'a> ReplayState<'a> {
         let (t, duration) = self
             .env
             .outages
-            .get(self.outage_cur)
+            .get(self.cur.outage)
             .copied()
             .unwrap_or((f64::INFINITY, 0.0));
         assert!(
             t == now,
             "replay diverged: outage at t={now} but the trace says t={t}"
         );
-        self.outage_cur += 1;
+        self.cur.outage += 1;
         duration
     }
 
@@ -221,9 +235,9 @@ impl<'a> ReplayState<'a> {
     /// (consumes the kill record). Replaces the live `hits` Bernoulli
     /// draw.
     pub(super) fn outage_hits(&mut self, i: usize, now: f64) -> bool {
-        match self.env.outage_kills[i].get(self.okill_cur[i]) {
+        match self.env.outage_kills[i].get(self.cur.okill[i]) {
             Some(&t) if t == now => {
-                self.okill_cur[i] += 1;
+                self.cur.okill[i] += 1;
                 true
             }
             _ => false,

@@ -122,6 +122,11 @@ pub enum RunOutcome {
 }
 
 /// The simulation engine: clock + pending-event set + run loop.
+///
+/// A clone is a checkpoint: it carries the clock, the pending events, the
+/// counters and the budgets, so running it continues exactly where the
+/// original stood.
+#[derive(Clone)]
 pub struct Engine<E> {
     now: SimTime,
     queue: BinaryHeapQueue<E>,

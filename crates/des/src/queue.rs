@@ -48,7 +48,7 @@ pub trait PendingEvents<E> {
 /// Dense bitmap over sequentially issued event ids. Ids are allocated from
 /// a counter, so a bit vector indexed by id replaces a hash set: O(1)
 /// membership with no hashing, one bit per id ever issued.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct IdBits {
     words: Vec<u64>,
 }
@@ -92,6 +92,7 @@ impl IdBits {
 /// batch holds exactly one event, so the singleton case lives inline in the
 /// heap node — no deque allocation, and popping it touches no memory beyond
 /// the node itself. Only a genuine timestamp tie upgrades to a deque.
+#[derive(Clone)]
 enum Items<E> {
     /// Zero or one event; `None` marks an exhausted batch.
     One(Option<(u64, E)>),
@@ -141,6 +142,7 @@ impl<E> Items<E> {
 /// insertion order. Because ids are issued sequentially and a batch only
 /// ever grows at the open tail, ids within a batch are strictly increasing,
 /// so popping from the front preserves FIFO tie order.
+#[derive(Clone)]
 struct Batch<E> {
     time: SimTime,
     items: Items<E>,
@@ -176,6 +178,7 @@ impl<E> Batch<E> {
 // key. The key is cached inline so sift comparisons never chase into the
 // batch storage; it grows as the batch front is consumed, and `take_front`
 // refreshes it before `PeekMut`'s drop glue re-sifts.
+#[derive(Clone)]
 struct HeapItem<E> {
     key: (SimTime, u64),
     batch: Batch<E>,
@@ -223,6 +226,10 @@ enum Source {
 /// costs one heap operation instead of k. Cancellation flips a bit; when
 /// tombstones outnumber live events the heap is rebuilt without them, so
 /// resident memory stays proportional to live events.
+///
+/// `Clone` copies the heap's storage as is, so a clone pops the same
+/// events in the same order as the original.
+#[derive(Clone)]
 pub struct BinaryHeapQueue<E> {
     heap: BinaryHeap<HeapItem<E>>,
     /// The most recent batch, still open for same-time appends; not yet in

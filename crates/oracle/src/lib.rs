@@ -19,6 +19,9 @@
 //!   restarts from seeded shuffles. Restarts run in parallel on the
 //!   work-stealing pool; results are folded in restart order, so the
 //!   winner — and every reported byte — is identical at any pool width.
+//!   The cost is an [`Evaluator`], which the walk tells each time it
+//!   moves, so the caller can price a proposal relative to the walk's
+//!   current permutation.
 //! * **Noise kicks.** A restart that stalls (no strict improvement for
 //!   [`SearchConfig::stall_kick`] proposals) jumps back to its incumbent
 //!   and perturbs it with a burst of random swaps, an ILS-style kick that
@@ -157,6 +160,30 @@ pub fn fold(outcomes: impl IntoIterator<Item = RestartOutcome>) -> Option<Restar
     best
 }
 
+/// The objective a restart descends: a cost per permutation, told which
+/// evaluated permutations the walk moves to.
+///
+/// The walk calls [`accept`](Self::accept) right after the
+/// [`cost`](Self::cost) call whose permutation becomes its current one:
+/// the start point, every strict improvement and every kick. An
+/// evaluator may use that to evaluate the next proposals relative to the
+/// current permutation; the cost it returns must not depend on it. Plain
+/// closures `Fn(&[u32]) -> f64` are evaluators that ignore `accept`.
+pub trait Evaluator {
+    /// The cost of `perm` (lower is better).
+    fn cost(&mut self, perm: &[u32]) -> f64;
+
+    /// The permutation of the last [`cost`](Self::cost) call became the
+    /// walk's current one.
+    fn accept(&mut self) {}
+}
+
+impl<F: Fn(&[u32]) -> f64> Evaluator for F {
+    fn cost(&mut self, perm: &[u32]) -> f64 {
+        self(perm)
+    }
+}
+
 /// Runs restart `restart` of the search: a pure function of its
 /// arguments, suitable as an independent work unit and as the replayable
 /// journal entry.
@@ -164,16 +191,19 @@ pub fn fold(outcomes: impl IntoIterator<Item = RestartOutcome>) -> Option<Restar
 /// The walk proposes swap and relocate moves, accepts strict
 /// improvements only, and kicks (incumbent + 3 random swaps) after
 /// [`SearchConfig::stall_kick`] consecutive rejections.
-pub fn run_restart<F>(n: usize, restart: u32, cfg: &SearchConfig, cost: &F) -> RestartOutcome
-where
-    F: Fn(&[u32]) -> f64 + ?Sized,
-{
+pub fn run_restart<E: Evaluator>(
+    n: usize,
+    restart: u32,
+    cfg: &SearchConfig,
+    mut eval: E,
+) -> RestartOutcome {
     let mut rng = SplitMix64::new(restart_seed(cfg.seed, restart));
     let mut cur: Vec<u32> = (0..n as u32).collect();
     if restart > 0 {
         shuffle(&mut cur, &mut rng);
     }
-    let mut cur_cost = cost(&cur);
+    let mut cur_cost = eval.cost(&cur);
+    eval.accept();
     let mut evaluations = 1u64;
     let mut best = cur.clone();
     let mut best_cost = cur_cost;
@@ -191,9 +221,10 @@ where
                 let v = cand.remove(i);
                 cand.insert(j.min(cand.len()), v);
             }
-            let c = cost(&cand);
+            let c = eval.cost(&cand);
             evaluations += 1;
             if c.total_cmp(&cur_cost).is_lt() {
+                eval.accept();
                 cur = cand;
                 cur_cost = c;
                 stall = 0;
@@ -212,7 +243,8 @@ where
                     let b = rng.below(n as u64) as usize;
                     cur.swap(a, b);
                 }
-                cur_cost = cost(&cur);
+                cur_cost = eval.cost(&cur);
+                eval.accept();
                 evaluations += 1;
                 stall = 0;
             }

@@ -64,6 +64,31 @@ fn parse_f64(line: usize, field: &str, what: &str) -> Result<f64, ImportError> {
         .map_err(|_| err(line, format!("invalid {what}: '{field}'")))
 }
 
+/// An arrival time: finite and not negative (the simulator starts at 0
+/// and cannot schedule into the past).
+fn parse_arrival(line: usize, field: &str) -> Result<SimTime, ImportError> {
+    let arrival = parse_f64(line, field, "arrival")?;
+    if !(arrival.is_finite() && arrival >= 0.0) {
+        return Err(err(
+            line,
+            format!("arrival must be finite and >= 0, got {arrival}"),
+        ));
+    }
+    Ok(SimTime::new(arrival))
+}
+
+/// A work amount: finite and positive.
+fn parse_work(line: usize, field: &str, what: &str) -> Result<f64, ImportError> {
+    let work = parse_f64(line, field, what)?;
+    if !(work.is_finite() && work > 0.0) {
+        return Err(err(
+            line,
+            format!("{what} must be finite and > 0, got {work}"),
+        ));
+    }
+    Ok(work)
+}
+
 /// Parses a task-level CSV (`bag,arrival,work`).
 pub fn import_tasks(csv: &str) -> Result<Workload, ImportError> {
     let mut bags: Vec<BagOfTasks> = Vec::new();
@@ -79,26 +104,12 @@ pub fn import_tasks(csv: &str) -> Result<Workload, ImportError> {
             .trim()
             .parse::<u32>()
             .map_err(|_| err(line, format!("invalid bag id: '{}'", fields[0])))?;
-        let arrival = parse_f64(line, fields[1], "arrival")?;
-        let work = parse_f64(line, fields[2], "work")?;
-        if work <= 0.0 {
-            return Err(err(line, format!("work must be positive, got {work}")));
-        }
-        match bag_id as usize {
-            i if i == bags.len() => {
-                bags.push(BagOfTasks {
-                    id: BotId(bag_id),
-                    arrival: SimTime::new(arrival),
-                    tasks: vec![TaskSpec {
-                        id: TaskId(0),
-                        work,
-                    }],
-                    granularity: work,
-                });
-            }
-            i if i == bags.len() - 1 => {
-                let bag = bags.last_mut().expect("non-empty");
-                if bag.arrival.as_secs() != arrival {
+        let arrival = parse_arrival(line, fields[1])?;
+        let work = parse_work(line, fields[2], "work")?;
+        let next = bags.len();
+        match bags.last_mut() {
+            Some(bag) if bag.id.0 == bag_id => {
+                if bag.arrival != arrival {
                     return Err(err(
                         line,
                         format!("bag {bag_id} has inconsistent arrival times"),
@@ -107,15 +118,27 @@ pub fn import_tasks(csv: &str) -> Result<Workload, ImportError> {
                 let tid = TaskId(bag.tasks.len() as u32);
                 bag.tasks.push(TaskSpec { id: tid, work });
             }
-            _ => {
+            _ if bag_id as usize == next => {
+                bags.push(BagOfTasks {
+                    id: BotId(bag_id),
+                    arrival,
+                    tasks: vec![TaskSpec {
+                        id: TaskId(0),
+                        work,
+                    }],
+                    granularity: work,
+                });
+            }
+            Some(bag) => {
                 return Err(err(
                     line,
                     format!(
                         "bag ids must be dense and grouped; got {bag_id} after {}",
-                        bags.len() - 1
+                        bag.id.0
                     ),
                 ))
             }
+            None => return Err(err(line, format!("bag ids must start at 0; got {bag_id}"))),
         }
     }
     if bags.is_empty() {
@@ -149,12 +172,9 @@ pub fn import_bags<R: Rng + ?Sized>(csv: &str, rng: &mut R) -> Result<Workload, 
                 ),
             ));
         }
-        let arrival = parse_f64(line, fields[0], "arrival")?;
-        let granularity = parse_f64(line, fields[1], "granularity")?;
-        let app_size = parse_f64(line, fields[2], "app_size")?;
-        if granularity <= 0.0 || app_size <= 0.0 {
-            return Err(err(line, "granularity and app_size must be positive"));
-        }
+        let arrival = parse_arrival(line, fields[0])?;
+        let granularity = parse_work(line, fields[1], "granularity")?;
+        let app_size = parse_work(line, fields[2], "app_size")?;
         let ty = BotType {
             granularity,
             app_size,
@@ -162,7 +182,7 @@ pub fn import_bags<R: Rng + ?Sized>(csv: &str, rng: &mut R) -> Result<Workload, 
         };
         bags.push(BagOfTasks {
             id: BotId(bags.len() as u32),
-            arrival: SimTime::new(arrival),
+            arrival,
             tasks: ty.generate_tasks(rng),
             granularity,
         });
@@ -243,6 +263,41 @@ bag,arrival,work
         assert!(import_tasks("0,0.0,-5\n").is_err());
         assert!(import_tasks("").is_err());
         assert!(import_tasks("# only comments\n").is_err());
+    }
+
+    #[test]
+    fn hostile_rows_are_errors_naming_their_line() {
+        // (input, line, message fragment): each once panicked or slipped
+        // through to panic in the simulator.
+        let tasks: &[(&str, usize, &str)] = &[
+            ("5,0,100\n", 1, "must start at 0"),
+            ("0,0,100\n2,0,100\n", 2, "after 0"),
+            ("0,NaN,100\n", 1, "arrival must be finite"),
+            ("0,-5,100\n", 1, "arrival must be finite and >= 0"),
+            ("0,inf,100\n", 1, "arrival must be finite"),
+            ("0,0,inf\n", 1, "work must be finite"),
+            ("0,0,NaN\n", 1, "work must be finite"),
+            ("0,0,100\n0,0,-inf\n", 2, "work must be finite"),
+        ];
+        for &(csv, line, fragment) in tasks {
+            let e = import_tasks(csv).expect_err(csv);
+            assert_eq!(e.line, line, "{csv:?}: {e}");
+            assert!(e.message.contains(fragment), "{csv:?}: {e}");
+        }
+        let bags: &[(&str, usize, &str)] = &[
+            ("0,inf,1000\n", 1, "granularity must be finite"),
+            ("0,NaN,1000\n", 1, "granularity must be finite"),
+            ("0,100,inf\n", 1, "app_size must be finite"),
+            ("0,100,NaN\n", 1, "app_size must be finite"),
+            ("0,100,1000\nNaN,100,1000\n", 2, "arrival must be finite"),
+            ("-1,100,1000\n", 1, "arrival must be finite and >= 0"),
+        ];
+        for &(csv, line, fragment) in bags {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+            let e = import_bags(csv, &mut rng).expect_err(csv);
+            assert_eq!(e.line, line, "{csv:?}: {e}");
+            assert!(e.message.contains(fragment), "{csv:?}: {e}");
+        }
     }
 
     #[test]

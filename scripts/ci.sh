@@ -65,20 +65,25 @@ echo "==> lockcheck gate: lock-order witness on, pool/single-flight/journal batt
 cargo test -q -p parking_lot --features lockcheck
 DGSCHED_THREADS=1 cargo test -q -p dgsched-core --features lockcheck \
   --lib --test lockcheck --test parallel_determinism --test journal_resume --test serve \
-  --test oracle_regret
+  --test oracle_regret --test replay_session
 DGSCHED_THREADS=4 cargo test -q -p dgsched-core --features lockcheck \
   --lib --test lockcheck --test parallel_determinism --test journal_resume --test serve \
-  --test oracle_regret
+  --test oracle_regret --test replay_session
 
 echo "==> oracle gate: replay exactness + regret battery at widths 1 and 4"
 # The hindsight-oracle contract: trace replay reproduces the live run
-# byte-identically (tests/trace_replay.rs), and the regret battery —
-# oracle ≤ best observed policy per cell, regret ≥ 0 across the full
-# matrix, search byte-identical across pool widths and across resumed
-# restarts (tests/oracle_regret.rs) — holds under both environment
+# byte-identically (tests/trace_replay.rs), the search's incremental
+# replay session returns the same bytes as a full replay for every
+# proposal of a walk and takes both of its fast paths
+# (tests/replay_session.rs), and the regret battery — oracle ≤ best
+# observed policy per cell, regret ≥ 0 across the full matrix, search
+# byte-identical across pool widths, across resumed restarts and to a
+# pinned digest (tests/oracle_regret.rs) — holds under both environment
 # baselines.
-DGSCHED_THREADS=1 cargo test -q -p dgsched-core --test trace_replay --test oracle_regret
-DGSCHED_THREADS=4 cargo test -q -p dgsched-core --test trace_replay --test oracle_regret
+DGSCHED_THREADS=1 cargo test -q -p dgsched-core --test trace_replay --test replay_session \
+  --test oracle_regret
+DGSCHED_THREADS=4 cargo test -q -p dgsched-core --test trace_replay --test replay_session \
+  --test oracle_regret
 
 echo "==> generator gate: sampler calibration + dgsched gen byte-identity at widths 1 and 4"
 # The trace-realistic workload contract: the Pareto/Zipf/lognormal/MMPP

@@ -81,6 +81,20 @@ fn json(v: &impl serde::Serialize) -> String {
     serde_json::to_string(v).unwrap()
 }
 
+/// 64-bit FNV-1a of `bytes`, as hex.
+fn fnv64(bytes: &[u8]) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!("{h:016x}")
+}
+
+/// Digest of the regret matrix below: pins the search outcomes, so any
+/// change to the search, the replay or their evaluation shows here.
+const REGRET_MATRIX_DIGEST: &str = "6d7579ef50834d1a";
+
 /// Per-replication, per-platform: the oracle never loses to any of the
 /// seven policies replayed on the same trace — the ≤ that makes regret
 /// non-negative by construction.
@@ -156,7 +170,7 @@ fn regret_is_nonnegative_across_the_full_matrix() {
 }
 
 /// The whole regret matrix — baseline sweep plus oracle search — is
-/// byte-identical at pool widths 1 and 4.
+/// byte-identical at pool widths 1 and 4, and equal to its pinned digest.
 #[test]
 fn regret_matrix_is_byte_identical_across_pool_widths() {
     let scenarios: Vec<Scenario> = PolicyKind::all_with_baselines()
@@ -177,6 +191,11 @@ fn regret_matrix_is_byte_identical_across_pool_widths() {
         json(&w1),
         json(&w4),
         "oracle search must not depend on pool width"
+    );
+    assert_eq!(
+        fnv64(json(&w1).as_bytes()),
+        REGRET_MATRIX_DIGEST,
+        "search outcomes changed"
     );
 }
 
